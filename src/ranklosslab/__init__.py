@@ -8,7 +8,7 @@ harnesses with convergence and accumulated-loss-bound checks, and a
 seeded synthetic-data lab for imbalance and timing experiments.
 """
 
-from .batch import SampleBatch, aggregate_batches, partition
+from .batch import RankingDataset, SampleBatch, aggregate_batches, partition
 from .steps import (
     DEFAULT_DELTA,
     DEFAULT_SIGMOID_K,
@@ -36,7 +36,6 @@ from .baselines import (
 from .trainer import (
     BoundReport,
     LinearModel,
-    RankingDataset,
     TrainConfig,
     TrainTrace,
     error_driven_step,

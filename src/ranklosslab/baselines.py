@@ -9,11 +9,15 @@ update collapses to the gradients of cross-entropy and hinge loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import _pairwise
 from .batch import SampleBatch, partition
+from .losses import _auc_steps
 from .steps import HEAVISIDE, StepConfig, step_value
 
 
@@ -31,19 +35,15 @@ class SmoothedApConfig:
     epsilon: float = 1e-2
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"sigmoid slope k must be positive, got {self.k}")
-        if self.log_space and not self.epsilon > 0:
-            raise ValueError("log-space objective requires epsilon > 0")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"sigmoid slope k must be positive and finite, got {self.k}")
+        if self.log_space and not 0 < self.epsilon < math.inf:
+            raise ValueError(f"log-space objective requires finite epsilon > 0, got {self.epsilon}")
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    nonneg = z >= 0.0
-    out[nonneg] = 1.0 / (1.0 + np.exp(-z[nonneg]))
-    e = np.exp(z[~nonneg])
-    out[~nonneg] = e / (1.0 + e)
-    return out
+    @cached_property
+    def step(self) -> StepConfig:
+        """The sigmoid activation that replaces each hard step."""
+        return StepConfig.sigmoid(self.k)
 
 
 def _smoothed_core(
@@ -53,13 +53,10 @@ def _smoothed_core(
     p, q = pos.shape[0], neg.shape[0]
     if p == 0 or q == 0:
         return 0.0, grad
-    valid = np.concatenate([pos, neg])
-    diffs = scores[valid][None, :] - scores[pos][:, None]
-    sig = _sigmoid(diffs / cfg.k)
+    sig = step_value(_pairwise.diffs(scores, pos, neg), cfg.step)
     dsig = sig * (1.0 - sig) / cfg.k
-    rows = np.arange(p)
     num = sig[:, p:].sum(axis=1)
-    denom = 1.0 + sig.sum(axis=1) - sig[rows, rows]
+    denom = _pairwise.rank_denominators(sig)
     value = float((num / denom).sum() / p)
 
     # d(value)/d(score_m): quotient rule split into the per-column part
@@ -69,11 +66,12 @@ def _smoothed_core(
     w_den = num / (p * denom * denom)
     col = dsig * (-w_den[:, None])
     col[:, p:] += dsig[:, p:] * w_num[:, None]
-    col[rows, rows] = 0.0
-    grad[valid] += col.sum(axis=0)
+    np.fill_diagonal(col, 0.0)
+    col_sums = col.sum(axis=0)
     dsig_neg = dsig[:, p:].sum(axis=1)
-    dsig_other = dsig.sum(axis=1) - dsig[rows, rows]
-    grad[pos] += -w_num * dsig_neg + w_den * dsig_other
+    dsig_other = dsig.sum(axis=1) - dsig.diagonal()
+    grad[pos] += col_sums[:p] + (-w_num * dsig_neg + w_den * dsig_other)
+    grad[neg] += col_sums[p:]
 
     if cfg.log_space:
         # Minimizing -log(1 - value + eps) maximizes log(smoothed AP + eps).
@@ -102,7 +100,7 @@ def _auc_core(
     p, q = pos.shape[0], neg.shape[0]
     if p == 0 or q == 0:
         return 0.0, grad
-    f = step_value(scores[neg][None, :] - scores[pos][:, None], cfg)
+    f = _auc_steps(scores, pos, neg, cfg)
     scale = 1.0 / (p * q)
     grad[pos] = -f.sum(axis=1) * scale
     grad[neg] = f.sum(axis=0) * scale

@@ -1,10 +1,11 @@
-"""Mini-batch data model for ranking samples.
+"""Data model for ranking samples: scored mini-batches and feature datasets.
 
 A batch carries one scalar score, one ternary label, and one group id per
-sample.  Labels are 1 (positive), 0 (negative), or -1 (ignored: the sample
-is excluded from every loss and gradient).  Group ids tag which image or
-sub-batch a sample came from so that batches can be aggregated without
-losing that structure.
+sample; a dataset carries a feature row in place of the score.  Labels
+are 1 (positive), 0 (negative), or -1 (ignored: the sample is excluded
+from every loss and gradient).  Group ids tag which image or sub-batch a
+sample came from so that batches can be aggregated without losing that
+structure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,31 @@ import numpy as np
 VALID_LABELS = (-1, 0, 1)
 
 
+def _validated(name: str, values, ndim: int, labels, group_ids):
+    """Checked float64 ``values`` (one leading row per sample), int64
+    labels and int64 group ids (zeros when None)."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if values.ndim != ndim or labels.ndim != 1:
+        raise ValueError(f"{name} must be {ndim}-dimensional and labels one-dimensional")
+    if values.shape[0] != labels.shape[0]:
+        raise ValueError(
+            f"length mismatch: {values.shape[0]} {name} vs {labels.shape[0]} labels"
+        )
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    if labels.size and not np.isin(labels, VALID_LABELS).all():
+        bad = np.unique(labels[~np.isin(labels, VALID_LABELS)])
+        raise ValueError(f"labels must be in {{-1, 0, 1}}, found {bad.tolist()}")
+    if group_ids is None:
+        group_ids = np.zeros(labels.shape[0], dtype=np.int64)
+    else:
+        group_ids = np.asarray(group_ids, dtype=np.int64)
+        if group_ids.shape != labels.shape:
+            raise ValueError("group_ids must match labels in length")
+    return values, labels, group_ids
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """Scores, ternary labels, and group ids for one mini-batch."""
@@ -26,23 +52,9 @@ class SampleBatch:
     group_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if scores.ndim != 1 or labels.ndim != 1:
-            raise ValueError("scores and labels must be one-dimensional")
-        if scores.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"length mismatch: {scores.shape[0]} scores vs {labels.shape[0]} labels"
-            )
-        if labels.size and not np.isin(labels, VALID_LABELS).all():
-            bad = np.unique(labels[~np.isin(labels, VALID_LABELS)])
-            raise ValueError(f"labels must be in {{-1, 0, 1}}, found {bad.tolist()}")
-        if self.group_ids is None:
-            group_ids = np.zeros(scores.shape[0], dtype=np.int64)
-        else:
-            group_ids = np.asarray(self.group_ids, dtype=np.int64)
-            if group_ids.shape != scores.shape:
-                raise ValueError("group_ids must match scores in length")
+        scores, labels, group_ids = _validated(
+            "scores", self.scores, 1, self.labels, self.group_ids
+        )
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "group_ids", group_ids)
@@ -55,8 +67,55 @@ class SampleBatch:
         return SampleBatch(self.scores[index], self.labels[index], self.group_ids[index])
 
 
-def partition(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Split a batch into (positive, negative) sample index arrays.
+@dataclass(frozen=True)
+class RankingDataset:
+    """Feature rows plus ternary labels and group ids.
+
+    ``margin`` and ``separator`` are optional certificates from the
+    synthetic generator: under the separator every positive outscores
+    every negative by at least the margin.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    group_ids: np.ndarray | None = None
+    margin: float | None = None
+    separator: np.ndarray | None = None
+
+    def __post_init__(self):
+        features, labels, group_ids = _validated(
+            "features", self.features, 2, self.labels, self.group_ids
+        )
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "group_ids", group_ids)
+
+    @property
+    def n(self) -> int:
+        return int(self.labels.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.features.shape[1])
+
+    def groups(self) -> list[int]:
+        return np.unique(self.group_ids).tolist()
+
+    def group_rows(self, gid: int) -> np.ndarray:
+        return np.flatnonzero(self.group_ids == gid)
+
+    def subset(self, index: np.ndarray) -> "RankingDataset":
+        return RankingDataset(
+            self.features[index],
+            self.labels[index],
+            self.group_ids[index],
+            margin=self.margin,
+            separator=self.separator,
+        )
+
+
+def partition(batch: SampleBatch | RankingDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Split a batch or dataset into (positive, negative) sample index arrays.
 
     Samples labeled -1 land in neither set.  Both arrays are sorted and
     may be empty.

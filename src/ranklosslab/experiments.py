@@ -18,13 +18,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .batch import SampleBatch
+from .baselines import SmoothedApConfig
+from .batch import RankingDataset, SampleBatch, partition
 from .gradients import GradOptions, grad_accelerated, grad_bruteforce, grad_reference
 from .steps import StepConfig
 from .synth import SynthConfig, generate
 from .trainer import (
     LinearModel,
-    RankingDataset,
     TrainConfig,
     TrainTrace,
     jacobian_norm_bound,
@@ -315,8 +315,6 @@ def run_counterexample(
     descent on the smoothed loss (slope scale 1, raw objective) keeps an
     exact loss of 1/6 forever while its smooth loss approaches 1/6.
     """
-    from .baselines import SmoothedApConfig
-
     data = gd_failure_dataset()
     init = LinearModel(np.array(GD_FAILURE_INIT))
 
@@ -477,8 +475,7 @@ def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
     cfg = spec.train.get("error_driven_ap") or next(iter(spec.train.values()))
     data = generate(spec.synth)
     features = data.features
-    pos = np.flatnonzero(data.labels == 1)
-    neg = np.flatnonzero(data.labels == 0)
+    pos, neg = partition(data)
     if pos.size == 0 or neg.size == 0:
         # Nothing to rank: empty tables (headers only when written).
         result = BenchResult(timeline=[], scaling=[])
@@ -555,8 +552,6 @@ def default_sweep_spec(seed: int = 0, out: str | Path = "runs") -> ExperimentSpe
     baseline arm runs gradient descent on the sigmoid-smoothed loss in log
     space with a fixed iteration budget shared across all ratios.
     """
-    from .baselines import SmoothedApConfig
-
     return ExperimentSpec(
         synth=SynthConfig(
             dim=20, positives=50, negatives=500, margin=0.1, noise_sigma=1.0, seed=seed

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pairwise
 from .batch import SampleBatch, partition
 from .steps import (
     HEAVISIDE,
@@ -116,16 +117,11 @@ def grad_reference(
     grad = np.zeros(batch.n)
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return GradResult(0.0, grad, 0, np.ones(pos.shape[0]))
-    s = batch.scores
     p = pos.shape[0]
-    valid = np.concatenate([pos, neg])
-    diffs = s[valid][None, :] - s[pos][:, None]
-    f = step_value(diffs, cfg)
-    rows = np.arange(p)
-    denom = 1.0 + f.sum(axis=1) - f[rows, rows]
-    terms = f[:, p:] / denom[:, None]
+    f = step_value(_pairwise.diffs(batch.scores, pos, neg), cfg)
+    terms = f[:, p:] / _pairwise.rank_denominators(f)[:, None]
 
-    order = _positive_order(s, pos)
+    order = _positive_order(batch.scores, pos)
     max_prec = 0.0
     loss = 0.0
     precs = np.empty(p)

@@ -18,25 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pairwise
 from .batch import SampleBatch, partition
+from .gradients import grad_reference
 from .steps import HEAVISIDE, StepConfig, step_value
 
 
 def _ap_rows(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
-    """Per-positive numerators (sum over negatives) and rank denominators.
-
-    Row i of the pairwise difference matrix holds s_j - s_i for every valid
-    sample j; the denominator 1 + sum_{k != i} step(s_k - s_i) is the
-    (soft) rank of positive i among all valid samples.
-    """
-    p = pos.shape[0]
-    valid = np.concatenate([pos, neg])
-    diffs = scores[valid][None, :] - scores[pos][:, None]
-    f = step_value(diffs, cfg)
-    rows = np.arange(p)
-    denom = 1.0 + f.sum(axis=1) - f[rows, rows]
-    num = f[:, p:].sum(axis=1)
-    return num, denom, f
+    """Per-positive numerators (sum over negatives), rank denominators, and
+    the positives-by-valid step matrix they come from."""
+    f = step_value(_pairwise.diffs(scores, pos, neg), cfg)
+    return f[:, pos.shape[0]:].sum(axis=1), _pairwise.rank_denominators(f), f
 
 
 def _ap_loss_core(scores, pos, neg, cfg: StepConfig) -> float:
@@ -46,11 +38,9 @@ def _ap_loss_core(scores, pos, neg, cfg: StepConfig) -> float:
     return float((num / denom).sum() / pos.shape[0])
 
 
-def _auc_loss_core(scores, pos, neg, cfg: StepConfig) -> float:
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        return 0.0
-    diffs = scores[neg][None, :] - scores[pos][:, None]
-    return float(step_value(diffs, cfg).sum() / (pos.shape[0] * neg.shape[0]))
+def _auc_steps(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
+    """Step matrix of s_j - s_i: one row per positive i, one column per negative j."""
+    return step_value(scores[neg][None, :] - scores[pos][:, None], cfg)
 
 
 def primary_terms(batch: SampleBatch, i: int, cfg: StepConfig = HEAVISIDE) -> np.ndarray:
@@ -63,13 +53,9 @@ def primary_terms(batch: SampleBatch, i: int, cfg: StepConfig = HEAVISIDE) -> np
     pos, neg = partition(batch)
     if i not in pos:
         raise ValueError(f"sample {i} is not a positive in this batch")
-    scores = batch.scores
-    valid = np.concatenate([pos, neg])
-    diffs = scores[valid] - scores[i]
-    f = step_value(diffs, cfg)
-    self_col = int(np.searchsorted(pos, i))
-    denom = 1.0 + f.sum() - f[self_col]
-    return f[pos.shape[0]:] / denom
+    _, denom, f = _ap_rows(batch.scores, pos, neg, cfg)
+    row = int(np.searchsorted(pos, i))
+    return f[row, pos.shape[0]:] / denom[row]
 
 
 def ap_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
@@ -87,7 +73,9 @@ def ap_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
 def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     """Fraction of misordered positive-negative pairs (ties misordered)."""
     pos, neg = partition(batch)
-    return _auc_loss_core(batch.scores, pos, neg, cfg)
+    if pos.shape[0] == 0 or neg.shape[0] == 0:
+        return 0.0
+    return float(_auc_steps(batch.scores, pos, neg, cfg).sum() / (pos.shape[0] * neg.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -101,12 +89,8 @@ class RankMetrics:
 
 def exact_metrics(batch: SampleBatch) -> RankMetrics:
     """Compute all hard-step metrics of a batch, for reporting."""
-    from .gradients import grad_reference  # local import to avoid a cycle
-
-    pos, neg = partition(batch)
-    interp = grad_reference(batch, HEAVISIDE, interpolated=True).loss
     return RankMetrics(
-        ap_loss=_ap_loss_core(batch.scores, pos, neg, HEAVISIDE),
-        auc_loss=_auc_loss_core(batch.scores, pos, neg, HEAVISIDE),
-        interpolated_ap_loss=interp,
+        ap_loss=ap_loss(batch),
+        auc_loss=auc_loss(batch),
+        interpolated_ap_loss=grad_reference(batch, HEAVISIDE, interpolated=True).loss,
     )

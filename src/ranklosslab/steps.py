@@ -30,8 +30,8 @@ class StepConfig:
     """Selects and parameterizes the pairwise activation.
 
     ``delta`` is only consumed by the piecewise ramp, ``k`` only by the
-    sigmoid; both must stay positive so the activations are monotone and
-    bounded in [0, 1].
+    sigmoid; both must stay positive and finite so the activations are
+    monotone and bounded in [0, 1].
     """
 
     kind: str = HEAVISIDE_KIND
@@ -41,10 +41,10 @@ class StepConfig:
     def __post_init__(self):
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown step kind {self.kind!r}; expected one of {STEP_KINDS}")
-        if self.kind == PIECEWISE_KIND and not self.delta > 0:
-            raise ValueError(f"piecewise step requires delta > 0, got {self.delta}")
-        if self.kind == SIGMOID_KIND and not self.k > 0:
-            raise ValueError(f"sigmoid step requires k > 0, got {self.k}")
+        if self.kind == PIECEWISE_KIND and not 0 < self.delta < math.inf:
+            raise ValueError(f"piecewise step requires finite delta > 0, got {self.delta}")
+        if self.kind == SIGMOID_KIND and not 0 < self.k < math.inf:
+            raise ValueError(f"sigmoid step requires finite k > 0, got {self.k}")
 
     @classmethod
     def heaviside(cls) -> "StepConfig":
@@ -113,8 +113,8 @@ def ramp_integral(x, delta: float):
     the ramp, and ``x`` beyond ``delta``.  Continuously differentiable with
     derivative equal to the ramp itself, and convex.
     """
-    if not delta > 0:
-        raise ValueError(f"ramp_integral requires delta > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"ramp_integral requires finite delta > 0, got {delta}")
     x = np.asarray(x, dtype=np.float64)
     out = np.where(
         x <= -delta,

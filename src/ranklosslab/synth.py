@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trainer import RankingDataset
+from .batch import RankingDataset
 
 
 @dataclass(frozen=True)

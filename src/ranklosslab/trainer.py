@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pairwise
 from .baselines import SmoothedApConfig, _smoothed_core, _auc_core
-from .batch import SampleBatch
+from .batch import RankingDataset, SampleBatch, partition
 from .gradients import GradOptions, _accelerated_core
 from .losses import _ap_loss_core
 from .steps import (
@@ -34,8 +35,6 @@ from .steps import (
     ramp_integral,
     step_value,
 )
-
-LOSS_KINDS = ("error_driven_ap", "smoothed_ap_gd", "auc", "inseparable_ap")
 
 
 @dataclass(frozen=True)
@@ -55,66 +54,6 @@ class LinearModel:
     @property
     def dim(self) -> int:
         return int(self.theta.shape[0])
-
-
-@dataclass(frozen=True)
-class RankingDataset:
-    """Feature rows plus ternary labels and group ids.
-
-    ``margin`` and ``separator`` are optional certificates from the
-    synthetic generator: under the separator every positive outscores
-    every negative by at least the margin.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    group_ids: np.ndarray | None = None
-    margin: float | None = None
-    separator: np.ndarray | None = None
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-d array (samples x dim)")
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError("features and labels must agree in sample count")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features must be finite")
-        if labels.size and not np.isin(labels, (-1, 0, 1)).all():
-            raise ValueError("labels must be in {-1, 0, 1}")
-        if self.group_ids is None:
-            group_ids = np.zeros(labels.shape[0], dtype=np.int64)
-        else:
-            group_ids = np.asarray(self.group_ids, dtype=np.int64)
-            if group_ids.shape != labels.shape:
-                raise ValueError("group_ids must match labels in length")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "group_ids", group_ids)
-
-    @property
-    def n(self) -> int:
-        return int(self.labels.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.features.shape[1])
-
-    def groups(self) -> list[int]:
-        return np.unique(self.group_ids).tolist()
-
-    def group_rows(self, gid: int) -> np.ndarray:
-        return np.flatnonzero(self.group_ids == gid)
-
-    def subset(self, index: np.ndarray) -> "RankingDataset":
-        return RankingDataset(
-            self.features[index],
-            self.labels[index],
-            self.group_ids[index],
-            margin=self.margin,
-            separator=self.separator,
-        )
 
 
 @dataclass
@@ -199,23 +138,6 @@ def score_dataset(model: LinearModel, data: RankingDataset) -> SampleBatch:
     return SampleBatch(data.features @ model.theta, data.labels, data.group_ids)
 
 
-def _partition_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
-
-
-def _error_driven_grad(
-    scores: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    n: int,
-    cfg: StepConfig,
-    opts: GradOptions,
-) -> tuple[float, np.ndarray, int]:
-    """Error-driven gradient on raw arrays (hot path, no batch wrapper)."""
-    res = _accelerated_core(scores, pos, neg, n, cfg, opts)
-    return res.loss, res.grad, res.pruned_negatives
-
-
 def _inseparable_grad(
     scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, n: int, delta: float
 ) -> tuple[float, np.ndarray]:
@@ -230,11 +152,8 @@ def _inseparable_grad(
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0, grad
-    valid = np.concatenate([pos, neg])
-    diffs = scores[valid][None, :] - scores[pos][:, None]
-    hard = step_value(diffs, HEAVISIDE)
-    rows = np.arange(p)
-    denom = 1.0 + hard.sum(axis=1) - hard[rows, rows]
+    diffs = _pairwise.diffs(scores, pos, neg)
+    denom = _pairwise.rank_denominators(step_value(diffs, HEAVISIDE))
     soft = step_value(diffs[:, p:], StepConfig.piecewise(delta))
     terms = soft / denom[:, None]
     grad[pos] = -terms.sum(axis=1) / p
@@ -274,6 +193,34 @@ def _resolve_step_size(cfg: TrainConfig, data: RankingDataset) -> float:
     return 1.0
 
 
+def _error_driven_rule(scores, pos, neg, n, cfg: TrainConfig):
+    res = _accelerated_core(scores, pos, neg, n, cfg.step_cfg, cfg.grad_opts)
+    return res.loss, res.grad, res.pruned_negatives
+
+
+# The update rule of each loss kind, on raw score arrays:
+# (scores, pos, neg, n, cfg) -> (surrogate, score gradient, pruned negatives).
+_UPDATE_RULES = {
+    "error_driven_ap": _error_driven_rule,
+    "smoothed_ap_gd": lambda s, pos, neg, n, cfg: (
+        *_smoothed_core(s, pos, neg, n, cfg.smoothed), 0
+    ),
+    "auc": lambda s, pos, neg, n, cfg: (*_auc_core(s, pos, neg, n, cfg.step_cfg), 0),
+    "inseparable_ap": lambda s, pos, neg, n, cfg: (
+        *_inseparable_grad(s, pos, neg, n, cfg.step_cfg.delta), 0
+    ),
+}
+LOSS_KINDS = tuple(_UPDATE_RULES)
+
+
+def _rule_step(kind: str, model: LinearModel, data: RankingDataset, cfg: TrainConfig):
+    scores = data.features @ model.theta
+    pos, neg = partition(data)
+    _, grad, _ = _UPDATE_RULES[kind](scores, pos, neg, data.n, cfg)
+    eta = _resolve_step_size(cfg, data)
+    return LinearModel(model.theta - eta * (data.features.T @ grad))
+
+
 def error_driven_step(model: LinearModel, data: RankingDataset, cfg: TrainConfig) -> LinearModel:
     """One joint error-driven update of the weights.
 
@@ -281,45 +228,22 @@ def error_driven_step(model: LinearModel, data: RankingDataset, cfg: TrainConfig
     score gradient under ``cfg.grad_opts`` (the classic convergence
     argument uses the unnormalized form, ``normalize_by_positives=False``).
     """
-    scores = data.features @ model.theta
-    pos, neg = _partition_rows(data.labels)
-    _, grad, _ = _error_driven_grad(scores, pos, neg, data.n, cfg.step_cfg, cfg.grad_opts)
-    eta = _resolve_step_size(cfg, data)
-    return LinearModel(model.theta - eta * (data.features.T @ grad))
+    return _rule_step("error_driven_ap", model, data, cfg)
 
 
 def inseparable_step(model: LinearModel, data: RankingDataset, cfg: TrainConfig) -> LinearModel:
     """One joint margin-modified update (step size defaults to delta/R^2)."""
-    scores = data.features @ model.theta
-    pos, neg = _partition_rows(data.labels)
-    _, grad = _inseparable_grad(scores, pos, neg, data.n, cfg.step_cfg.delta)
-    eta = _resolve_step_size(cfg, data)
-    return LinearModel(model.theta - eta * (data.features.T @ grad))
+    return _rule_step("inseparable_ap", model, data, cfg)
 
 
-def _update_eval(
-    kind: str,
-    scores: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    n: int,
-    cfg: TrainConfig,
-) -> tuple[float, float, np.ndarray, int]:
-    """(exact hard-step loss, surrogate, score gradient, pruned count)."""
-    exact = _ap_loss_core(scores, pos, neg, HEAVISIDE)
-    if kind == "error_driven_ap":
-        surrogate, grad, pruned = _error_driven_grad(
-            scores, pos, neg, n, cfg.step_cfg, cfg.grad_opts
+def _finite_scores(features: np.ndarray, theta: np.ndarray, iteration: int, kind: str):
+    scores = features @ theta
+    if not np.isfinite(scores).all():
+        raise ValueError(
+            f"{kind} training diverged: scores became non-finite at iteration "
+            f"{iteration}; lower the step size"
         )
-        return exact, surrogate, grad, pruned
-    if kind == "smoothed_ap_gd":
-        surrogate, grad = _smoothed_core(scores, pos, neg, n, cfg.smoothed)
-        return exact, surrogate, grad, 0
-    if kind == "auc":
-        surrogate, grad = _auc_core(scores, pos, neg, n, cfg.step_cfg)
-        return exact, surrogate, grad, 0
-    surrogate, grad = _inseparable_grad(scores, pos, neg, n, cfg.step_cfg.delta)
-    return exact, surrogate, grad, 0
+    return scores
 
 
 def train(
@@ -333,7 +257,8 @@ def train(
     Each iteration evaluates the update batch (whole dataset, or one
     erring group in ``per_group`` scope) at the current weights, records a
     trace row, and then applies the weight update.  Non-convergence is a
-    recorded outcome, not an error.  ``timing`` fills the trace's wall_ns
+    recorded outcome, not an error; scores that overflow to inf or NaN
+    raise ``ValueError`` naming the iteration.  ``timing`` fills the trace's wall_ns
     column with measured gradient-computation times; otherwise the column
     is zero so traces stay byte-reproducible.
     """
@@ -347,16 +272,17 @@ def train(
     if cfg.record_weights:
         trace.thetas = []
 
-    joint_pos, joint_neg = _partition_rows(data.labels)
+    joint_pos, joint_neg = partition(data)
+    rule = _UPDATE_RULES[cfg.loss_kind]
     per_group = cfg.update_scope == "per_group"
     if per_group:
         gids = data.groups()
         group_rows = [data.group_rows(g) for g in gids]
-        group_parts = [_partition_rows(data.labels[rows]) for rows in group_rows]
+        group_parts = [partition(data.subset(rows)) for rows in group_rows]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
 
-    for _ in range(cfg.max_iters):
-        scores = features @ theta
+    for it in range(1, cfg.max_iters + 1):
+        scores = _finite_scores(features, theta, it, cfg.loss_kind)
         if per_group:
             group_losses = [
                 _ap_loss_core(scores[rows], p_, n_, HEAVISIDE)
@@ -380,9 +306,8 @@ def train(
 
         if timing:
             t0 = time.perf_counter_ns()
-        exact, surrogate, grad, pruned = _update_eval(
-            cfg.loss_kind, sub_scores, pos, neg, sub_scores.shape[0], cfg
-        )
+        exact = _ap_loss_core(sub_scores, pos, neg, HEAVISIDE)
+        surrogate, grad, pruned = rule(sub_scores, pos, neg, sub_scores.shape[0], cfg)
         wall = time.perf_counter_ns() - t0 if timing else 0
 
         trace.ap_loss.append(float(exact))
@@ -400,10 +325,9 @@ def train(
         else:
             theta -= eta * (features[rows].T @ grad)
 
-    final = LinearModel(theta)
-    final_scores = features @ theta
+    final_scores = _finite_scores(features, theta, it + 1, cfg.loss_kind)
     trace.final_joint_ap_loss = _ap_loss_core(final_scores, joint_pos, joint_neg, HEAVISIDE)
-    return final, trace
+    return LinearModel(theta), trace
 
 
 def surrogate_loss(
@@ -420,18 +344,13 @@ def surrogate_loss(
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     if u.shape[0] != data.dim or theta_hat.shape[0] != data.dim:
         raise ValueError("weight dimension does not match feature dimension")
-    pos, neg = _partition_rows(data.labels)
+    pos, neg = partition(data)
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0
-    su = data.features @ u
-    sh = data.features @ theta_hat
-    valid = np.concatenate([pos, neg])
-    hard = step_value(sh[valid][None, :] - sh[pos][:, None], HEAVISIDE)
-    rows = np.arange(p)
-    denom = 1.0 + hard.sum(axis=1) - hard[rows, rows]
-    q = ramp_integral(su[neg][None, :] - su[pos][:, None], delta)
-    return float((q.sum(axis=1) / denom).sum() / p)
+    hard = step_value(_pairwise.diffs(data.features @ theta_hat, pos, neg), HEAVISIDE)
+    denom = _pairwise.rank_denominators(hard)
+    return float((_ramp_row_sums(data.features @ u, pos, neg, delta) / denom).sum() / p)
 
 
 @dataclass(frozen=True)
@@ -452,10 +371,8 @@ class BoundReport:
     offline_satisfied: bool | None = None
 
 
-def _ramp_row_sums(u: np.ndarray, data: RankingDataset, delta: float) -> np.ndarray:
-    """Per-positive sums of ramp integrals at comparator ``u``."""
-    pos, neg = _partition_rows(data.labels)
-    su = data.features @ u
+def _ramp_row_sums(su: np.ndarray, pos: np.ndarray, neg: np.ndarray, delta: float) -> np.ndarray:
+    """Per-positive sums over the negatives j of ramp_integral(s_j - s_i)."""
     return ramp_integral(su[neg][None, :] - su[pos][:, None], delta).sum(axis=1)
 
 
@@ -509,7 +426,7 @@ def verify_regret_bound(
     b_log = b_sat = off_ok = None
     if len(set(trace.group_id)) == 1:
         gdata = group_data(trace.group_id[0])
-        row_sums = _ramp_row_sums(u, gdata, delta)
+        row_sums = _ramp_row_sums(gdata.features @ u, *partition(gdata), delta)
         if row_sums.size:
             z_u = float(row_sums.max())
             p = row_sums.shape[0]

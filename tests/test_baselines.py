@@ -51,6 +51,13 @@ class TestSmoothedAp:
         with pytest.raises(ValueError):
             SmoothedApConfig(k=1.0, log_space=True, epsilon=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SmoothedApConfig(k=bad)
+        with pytest.raises(ValueError, match="finite epsilon"):
+            SmoothedApConfig(log_space=True, epsilon=bad)
+
     def test_ignored_samples_excluded(self):
         cfg = SmoothedApConfig(k=1.0)
         full = smoothed_ap_loss_and_grad(SampleBatch([1.0, 0.0, 9.0], [1, 0, -1]), cfg)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ranklosslab import SampleBatch, aggregate_batches, ap_loss, grad_bruteforce, partition
+from ranklosslab import (
+    RankingDataset,
+    SampleBatch,
+    aggregate_batches,
+    ap_loss,
+    grad_bruteforce,
+    partition,
+)
 
 
 class TestSampleBatch:
@@ -20,6 +27,35 @@ class TestSampleBatch:
     def test_empty_batch(self):
         b = SampleBatch([], [])
         assert b.n == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # A NaN score would otherwise read as a perfect ranking (loss 0).
+        with pytest.raises(ValueError, match="scores must be finite"):
+            SampleBatch([bad, 0.5, 0.1], [1, 0, 0])
+
+
+class TestRankingDataset:
+    def test_shares_the_batch_label_check(self):
+        with pytest.raises(ValueError, match=r"labels must be in \{-1, 0, 1\}, found \[2\]"):
+            RankingDataset(np.eye(2), [1, 2])
+
+    def test_non_finite_features_rejected(self):
+        with pytest.raises(ValueError, match="features must be finite"):
+            RankingDataset(np.array([[0.0, np.nan], [1.0, 0.0]]), [1, 0])
+
+    def test_shape_checks(self):
+        with pytest.raises(ValueError, match="features must be 2-dimensional"):
+            RankingDataset(np.zeros(3), [1, 0, 0])
+        with pytest.raises(ValueError, match="length mismatch"):
+            RankingDataset(np.eye(3), [1, 0])
+        with pytest.raises(ValueError, match="group_ids must match"):
+            RankingDataset(np.eye(2), [1, 0], group_ids=[0])
+
+    def test_partition_reads_dataset_labels(self):
+        pos, neg = partition(RankingDataset(np.zeros((4, 2)), [0, 1, -1, 0]))
+        assert pos.tolist() == [1]
+        assert neg.tolist() == [0, 3]
 
 
 class TestPartition:

@@ -66,6 +66,15 @@ class TestStepValues:
         with pytest.raises(ValueError):
             StepConfig.sigmoid(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite delta"):
+            StepConfig.piecewise(bad)
+        with pytest.raises(ValueError, match="finite k"):
+            StepConfig.sigmoid(bad)
+        with pytest.raises(ValueError, match="finite delta"):
+            ramp_integral(0.0, bad)
+
 
 class TestRampIntegral:
     @pytest.mark.parametrize("delta", [0.25, 1.0, 3.0])

@@ -8,12 +8,15 @@ from ranklosslab import (
     SampleBatch,
     SmoothedApConfig,
     StepConfig,
+    auc_grad,
     SynthConfig,
     TrainConfig,
     ap_loss,
     error_driven_step,
     generate,
+    grad_accelerated,
     grad_bruteforce,
+    partition,
     inseparable_step,
     jacobian_norm_bound,
     score_dataset,
@@ -23,6 +26,8 @@ from ranklosslab import (
     verify_regret_bound,
 )
 from ranklosslab.experiments import GD_FAILURE_INIT, gd_failure_dataset
+from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
+from helpers import random_batch_arrays
 
 
 class TestScoreDataset:
@@ -430,3 +435,51 @@ class TestConfigValidation:
     def test_nonpositive_step_size(self):
         with pytest.raises(ValueError, match="step_size"):
             TrainConfig(step_size=0.0)
+
+
+class TestRunawayTraining:
+    @pytest.mark.parametrize("max_iters", [50, 1])
+    def test_non_finite_scores_raise_with_iteration(self, max_iters):
+        # A huge step overflows the scores after the first update; the
+        # run must not pass the NaN losses off as a finished trace, nor
+        # report a final loss from overflowed scores (max_iters=1).
+        cfg = TrainConfig(step_size=1e308, max_iters=max_iters)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite at iteration 2"):
+                train(LinearModel(np.zeros(20)), generate(SynthConfig()), cfg)
+
+
+class TestUpdateRules:
+    def test_loss_kinds_are_the_table_keys(self):
+        assert LOSS_KINDS == tuple(_UPDATE_RULES)
+        assert LOSS_KINDS == ("error_driven_ap", "smoothed_ap_gd", "auc", "inseparable_ap")
+
+    def test_rules_equal_public_counterparts_bitwise(self):
+        rng = np.random.default_rng(5)
+        steps = (StepConfig.heaviside(), StepConfig.piecewise(0.5), StepConfig.sigmoid(0.5))
+        for b in range(60):
+            scores, labels = random_batch_arrays(rng)
+            batch = SampleBatch(scores, labels)
+            pos, neg = partition(batch)
+            step = steps[b % len(steps)]
+            opts = GradOptions(interpolated=b % 2 == 0, normalize_by_positives=b % 4 < 2)
+            smoothed = SmoothedApConfig(k=0.25 + 0.25 * (b % 3), log_space=b % 2 == 1)
+            cfg = TrainConfig(step_cfg=step, grad_opts=opts, smoothed=smoothed)
+
+            def rule(kind):
+                return _UPDATE_RULES[kind](batch.scores, pos, neg, batch.n, cfg)
+
+            res = grad_accelerated(batch, step, opts)
+            surrogate, grad, pruned = rule("error_driven_ap")
+            assert (surrogate, pruned) == (res.loss, res.pruned_negatives)
+            np.testing.assert_array_equal(grad, res.grad)
+
+            value, expected = smoothed_ap_loss_and_grad(batch, smoothed)
+            surrogate, grad, pruned = rule("smoothed_ap_gd")
+            assert (surrogate, pruned) == (value, 0)
+            np.testing.assert_array_equal(grad, expected)
+
+            value, expected = auc_grad(batch, step)
+            surrogate, grad, pruned = rule("auc")
+            assert (surrogate, pruned) == (value, 0)
+            np.testing.assert_array_equal(grad, expected)
