@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .baselines import SmoothedApConfig
 from .experiments import (
     ExperimentSpec,
     GradcheckReport,
@@ -33,7 +34,6 @@ from .experiments import (
     surrogate_domination_slack,
 )
 from .gradients import GradOptions
-from .steps import StepConfig
 from .synth import SynthConfig
 from .trainer import TrainConfig
 
@@ -47,32 +47,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-_SYNTH_KEYS = {
-    "dim",
-    "positives",
-    "negatives",
-    "groups",
-    "margin",
-    "noise_sigma",
-    "seed",
-    "score_shift",
+_OUT = "runs"
+"""Output directory when neither ``--out`` nor the config's ``run.out`` names one."""
+
+_YAML_KEYS = {"step_cfg": "step", "output_path": "out"}
+"""Config fields whose YAML key differs from the field name."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_SCALARS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    # An integer past the float range would overflow in float().
+    float: (
+        "a number",
+        lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max,
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
 }
-_TRAIN_KEYS = {
-    "step_size",
-    "max_iters",
-    "step",
-    "stop_at_zero_loss",
-    "interpolated",
-    "prune_trivial_negatives",
-    "normalize_by_positives",
-    "smoothed",
-    "update_scope",
-    "seed",
-}
-_STEP_KEYS = {"kind", "delta", "k"}
-_SMOOTHED_KEYS = {"k", "log_space", "epsilon"}
-_RUN_KEYS = {"repetitions", "negatives_grid", "timing", "out"}
-_SECTIONS = {"synth", "train", "run"}
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -81,57 +76,85 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValueError(f"unknown key '{sorted(unknown)[0]}' in section '{where}'")
 
 
-def _parse_step(raw, where: str) -> StepConfig:
+def _keys(cls, *exclude: str) -> dict[str, tuple[str, object]]:
+    """YAML key -> (field name, annotation) for each field of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {
+        _YAML_KEYS.get(f.name, f.name): (f.name, hints[f.name])
+        for f in fields(cls)
+        if f.name not in exclude
+    }
+
+
+def _kwargs(raw, keys: dict[str, tuple[str, object]], where: str) -> dict:
+    """Constructor arguments from a YAML mapping, each value checked against its field."""
     raw = _require_mapping(raw, where)
-    _check_keys(raw, _STEP_KEYS, where)
-    kwargs = {k: raw[k] for k in ("delta", "k") if k in raw}
-    return StepConfig(kind=raw.get("kind", "heaviside"), **kwargs)
+    _check_keys(raw, keys, where)
+    return {keys[k][0]: _value(v, keys[k][1], f"{where}.{k}") for k, v in raw.items()}
+
+
+def _value(raw, hint, where: str):
+    """``raw`` as a value of the annotation ``hint``, or a ValueError naming ``where``.
+
+    A bool field takes only a YAML boolean, an int field only an integer,
+    a float field an integer or a float (stored as a float), a
+    ``tuple[int, ...]`` field a list of integers, a str field a string,
+    and ``null`` only where the annotation allows ``None``.  The first
+    member of any other union (``str | Path``) is the form YAML can spell.
+    A dataclass field takes a mapping of that dataclass's own fields.
+    """
+    if is_dataclass(hint):
+        return hint(**_kwargs(raw, _keys(hint), where))
+    nullable = False
+    if get_origin(hint) is UnionType:
+        args = get_args(hint)
+        nullable = type(None) in args
+        if raw is None and nullable:
+            return None
+        hint = args[0]
+    if get_origin(hint) is tuple:
+        expected = "a list of integers"
+        if isinstance(raw, list) and all(map(_is_int, raw)):
+            return tuple(raw)
+    else:
+        expected, fits = _SCALARS[hint]
+        if fits(raw):
+            return float(raw) if hint is float else raw
+    raise ValueError(f"{where} must be {expected}{' or null' if nullable else ''}, got {raw!r}")
 
 
 def _parse_train(name: str, raw) -> TrainConfig:
-    where = f"train.{name}"
-    raw = _require_mapping(raw, where)
-    _check_keys(raw, _TRAIN_KEYS, where)
-    opts = GradOptions(
-        interpolated=bool(raw.get("interpolated", False)),
-        prune_trivial_negatives=bool(raw.get("prune_trivial_negatives", True)),
-        normalize_by_positives=bool(raw.get("normalize_by_positives", True)),
-    )
-    smoothed = SmoothedApConfig()
-    if "smoothed" in raw:
-        sm = _require_mapping(raw["smoothed"], f"{where}.smoothed")
-        _check_keys(sm, _SMOOTHED_KEYS, f"{where}.smoothed")
-        smoothed = SmoothedApConfig(
-            k=float(sm.get("k", 0.5)),
-            log_space=bool(sm.get("log_space", False)),
-            epsilon=float(sm.get("epsilon", 1e-2)),
-        )
-    step_cfg = _parse_step(raw["step"], f"{where}.step") if "step" in raw else StepConfig()
-    return TrainConfig(
-        loss_kind=name,
-        step_size=None if raw.get("step_size") is None else float(raw["step_size"]),
-        max_iters=int(raw.get("max_iters", 1000)),
-        step_cfg=step_cfg,
-        stop_at_zero_loss=bool(raw.get("stop_at_zero_loss", True)),
-        grad_opts=opts,
-        smoothed=smoothed,
-        update_scope=str(raw.get("update_scope", "joint")),
-        seed=int(raw.get("seed", 0)),
-    )
+    """One ``train`` entry: its key is the loss kind, and the ``GradOptions``
+    fields sit flat beside the ``TrainConfig`` ones."""
+    keys = _keys(TrainConfig, "loss_kind", "grad_opts", "record_weights") | _keys(GradOptions)
+    kwargs = _kwargs(raw, keys, f"train.{name}")
+    opts = {f.name: kwargs.pop(f.name) for f in fields(GradOptions) if f.name in kwargs}
+    return TrainConfig(loss_kind=name, grad_opts=GradOptions(**opts), **kwargs)
+
+
+def _overridden(spec: ExperimentSpec, seed: int | None, out: str | None) -> ExperimentSpec:
+    if seed is not None:
+        spec = replace(spec, synth=replace(spec.synth, seed=seed))
+    if out is not None:
+        spec = replace(spec, output_path=out)
+    return spec
 
 
 def load_spec(path: str | Path, seed: int | None, out: str | None) -> ExperimentSpec:
     """Load an experiment spec from a YAML config file.
 
-    Top-level sections are ``synth``, ``train`` (one sub-mapping per loss
-    kind), and ``run``.  Any unknown key is a validation error.  ``seed``
-    and ``out`` given on the command line override the file.
+    Top-level sections are ``synth`` (``SynthConfig`` fields), ``train``
+    (one sub-mapping per loss kind) and ``run`` (the remaining
+    ``ExperimentSpec`` fields).  Keys and value types come from the config
+    dataclasses, which also supply every omitted value; any unknown key or
+    mistyped value is a validation error.  ``seed`` and ``out`` given on
+    the command line override the file.
     """
     path = Path(path)
     if not path.exists():
@@ -143,45 +166,27 @@ def load_spec(path: str | Path, seed: int | None, out: str | None) -> Experiment
     except yaml.YAMLError as exc:
         raise ValueError(f"config {path} is not valid YAML: {exc}") from exc
     raw = _require_mapping(raw if raw is not None else {}, "<config>")
-    _check_keys(raw, _SECTIONS, "<config>")
+    _check_keys(raw, ("synth", "train", "run"), "<config>")
 
-    synth_raw = _require_mapping(raw.get("synth", {}), "synth")
-    _check_keys(synth_raw, _SYNTH_KEYS, "synth")
-    synth = SynthConfig(**synth_raw)
-    if seed is not None:
-        synth = replace(synth, seed=seed)
-
-    train_raw = _require_mapping(raw.get("train", {}), "train")
-    if not train_raw:
-        raise ValueError("config must define at least one loss under 'train'")
-    train = {name: _parse_train(name, cfg) for name, cfg in train_raw.items()}
-
-    run_raw = _require_mapping(raw.get("run", {}), "run")
-    _check_keys(run_raw, _RUN_KEYS, "run")
-    grid = run_raw.get("negatives_grid")
-    return ExperimentSpec(
-        synth=synth,
-        train=train,
-        repetitions=int(run_raw.get("repetitions", 1)),
-        output_path=out if out is not None else run_raw.get("out", "runs"),
-        negatives_grid=None if grid is None else tuple(int(v) for v in grid),
-        timing=bool(run_raw.get("timing", False)),
+    train = _require_mapping(raw.get("train", {}), "train")
+    run = _kwargs(raw.get("run", {}), _keys(ExperimentSpec, "synth", "train"), "run")
+    run.setdefault("output_path", _OUT)
+    spec = ExperimentSpec(
+        synth=_value(raw.get("synth", {}), SynthConfig, "synth"),
+        train={name: _parse_train(name, cfg) for name, cfg in train.items()},
+        **run,
     )
+    return _overridden(spec, seed, out)
 
 
 def _spec_for(args, default_factory) -> ExperimentSpec:
     if args.config is not None:
         return load_spec(args.config, args.seed, args.out)
-    spec = default_factory(seed=args.seed if args.seed is not None else 0)
-    if args.out is not None:
-        spec = replace(spec, output_path=args.out)
-    return spec
+    return _overridden(default_factory(), args.seed, args.out)
 
 
 def _cmd_gradcheck(args) -> int:
-    report: GradcheckReport = run_gradcheck(
-        batches=args.batches, seed=args.seed if args.seed is not None else 0
-    )
+    report: GradcheckReport = run_gradcheck(batches=args.batches, seed=args.seed)
     status = "ok" if report.passed else "FAILED"
     print(
         f"gradcheck {status}: {report.batches} batches, "
@@ -199,7 +204,7 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _spec_for(args, default_sweep_spec)
     if spec.negatives_grid is None:
-        spec = replace(spec, negatives_grid=(500, 5000, 50000))
+        spec = replace(spec, negatives_grid=default_sweep_spec().negatives_grid)
     return _print_rows(run_experiment(spec), spec)
 
 
@@ -214,12 +219,7 @@ def _print_rows(result, spec) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    out = args.out if args.out is not None else "runs"
-    traces = run_counterexample(
-        out_dir=out,
-        gd_iters=args.gd_iters,
-        seed=args.seed if args.seed is not None else 0,
-    )
+    traces = run_counterexample(out_dir=args.out, gd_iters=args.gd_iters, seed=args.seed)
     err = traces["error_driven_ap"]
     gd = traces["smoothed_ap_gd"]
     print(
@@ -230,25 +230,19 @@ def _cmd_counterexample(args) -> int:
         f"smoothed_ap_gd: final exact ap_loss={gd.ap_loss[-1]:.6g}, "
         f"final smooth loss={gd.surrogate[-1]:.6g} after {gd.iterations} iterations"
     )
-    print(f"wrote traces to {out}")
+    print(f"wrote traces to {args.out}")
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    out = args.out if args.out is not None else "runs"
-    rows = run_bounds(
-        runs=args.runs,
-        u_per_run=args.u_count,
-        seed=args.seed if args.seed is not None else 0,
-        out_dir=out,
-    )
+    rows = run_bounds(runs=args.runs, u_per_run=args.u_count, seed=args.seed, out_dir=args.out)
     violations = sum(1 for row in rows if not row[-1])
-    slack = surrogate_domination_slack(seed=args.seed if args.seed is not None else 0)
+    slack = surrogate_domination_slack(seed=args.seed)
     print(
         f"bound checks: {len(rows)} comparators, {violations} violations; "
         f"surrogate domination slack {slack:.3e}"
     )
-    print(f"wrote bounds table to {out}")
+    print(f"wrote bounds table to {args.out}")
     return 0 if violations == 0 and slack >= 0 else 1
 
 
@@ -269,26 +263,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ranklosslab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, *, config: bool = False, out: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="YAML experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default="csv", choices=("csv",), help="output format")
+        # Under --config, an omitted --seed or --out keeps the config's value.
+        if config:
+            p.add_argument("--config", help="YAML experiment config")
+        p.add_argument("--seed", type=int, default=None if config else 0, help="base seed")
+        if out:
+            p.add_argument("--out", default=None if config else _OUT, help="output directory")
         return p
 
-    add("gradcheck", "run the gradient oracle-equivalence suite").add_argument(
+    add("gradcheck", "run the gradient oracle-equivalence suite", out=False).add_argument(
         "--batches", type=int, default=500
     )
-    add("train", "run one training experiment")
-    add("sweep", "run the imbalance-ratio sweep")
+    add("train", "run one training experiment", config=True)
+    add("sweep", "run the imbalance-ratio sweep", config=True)
     add("counterexample", "reproduce the gradient-descent failure construction").add_argument(
         "--gd-iters", type=int, default=100_000
     )
     bounds = add("bounds", "verify the accumulated-loss bound on inseparable runs")
     bounds.add_argument("--runs", type=int, default=10)
     bounds.add_argument("--u-count", type=int, default=50)
-    add("bench", "time the gradient path with and without pruning")
+    add("bench", "time the gradient path with and without pruning", config=True)
     return parser
 
 

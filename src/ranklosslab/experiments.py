@@ -472,7 +472,9 @@ def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
     the two results diverge.  Scaling: times the unpruned path on fresh
     random batches of growing negative count at fixed positive count.
     """
-    cfg = spec.train.get("error_driven_ap") or next(iter(spec.train.values()))
+    cfg = spec.train.get("error_driven_ap")
+    if cfg is None:
+        raise ValueError("the pruning bench needs an 'error_driven_ap' entry under 'train'")
     data = generate(spec.synth)
     features = data.features
     pos, neg = partition(data)
@@ -578,21 +580,10 @@ def default_sweep_spec(seed: int = 0, out: str | Path = "runs") -> ExperimentSpe
 
 
 def default_train_spec(seed: int = 0, out: str | Path = "runs") -> ExperimentSpec:
-    """Single error-driven training run on moderately imbalanced data."""
-    return ExperimentSpec(
-        synth=SynthConfig(
-            dim=20, positives=50, negatives=500, margin=0.1, noise_sigma=1.0, seed=seed
-        ),
-        train={
-            "error_driven_ap": TrainConfig(
-                loss_kind="error_driven_ap",
-                step_size=1.0,
-                max_iters=2000,
-                step_cfg=StepConfig.piecewise(1.0),
-                grad_opts=GradOptions(normalize_by_positives=False),
-            )
-        },
-        output_path=out,
+    """Single error-driven training run: the sweep's error-driven arm at 1:10, no grid."""
+    spec = default_sweep_spec(seed, out)
+    return replace(
+        spec, train={"error_driven_ap": spec.train["error_driven_ap"]}, negatives_grid=None
     )
 
 

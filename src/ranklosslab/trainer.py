@@ -298,15 +298,16 @@ def train(
             pos, neg = group_parts[chosen]
             sub_scores = scores[rows]
             gid = gids[chosen]
+            exact = group_losses[chosen]
         else:
             rows = None
             pos, neg = joint_pos, joint_neg
             sub_scores = scores
             gid = -1
+            exact = _ap_loss_core(sub_scores, pos, neg, HEAVISIDE)
 
         if timing:
             t0 = time.perf_counter_ns()
-        exact = _ap_loss_core(sub_scores, pos, neg, HEAVISIDE)
         surrogate, grad, pruned = rule(sub_scores, pos, neg, sub_scores.shape[0], cfg)
         wall = time.perf_counter_ns() - t0 if timing else 0
 

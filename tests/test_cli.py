@@ -1,5 +1,16 @@
-from ranklosslab.cli import main
-from ranklosslab.experiments import TRACE_HEADER
+import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+import yaml
+
+import ranklosslab
+from ranklosslab.cli import load_spec, main
+from ranklosslab.experiments import TRACE_HEADER, default_sweep_spec
 
 CONFIG = """
 synth:
@@ -35,6 +46,74 @@ class TestExitCodes:
 
     def test_bad_format_rejected(self, capsys):
         assert main(["gradcheck", "--format", "xml"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--config", "x.yaml"],
+            ["counterexample", "--config", "x.yaml"],
+            ["bounds", "--config", "x.yaml"],
+            ["gradcheck", "--out", "runs"],
+            ["train", "--format", "csv"],
+        ],
+    )
+    def test_options_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _with_value(key: str, value) -> str:
+    """CONFIG with the dotted ``key`` set to ``value``, as YAML text."""
+    raw = yaml.safe_load(CONFIG)
+    *path, last = key.split(".")
+    node = raw
+    for part in path:
+        node = node.setdefault(part, {})
+    node[last] = value
+    return yaml.safe_dump(raw)
+
+
+BAD_VALUES = [
+    ("train.error_driven_ap.interpolated", "false"),
+    ("train.error_driven_ap.stop_at_zero_loss", "no"),
+    ("train.error_driven_ap.max_iters", 2.9),
+    ("train.error_driven_ap.step_size", True),
+    ("run.negatives_grid", 500),
+    ("train.error_driven_ap.step.delta", "x"),
+    ("synth.dim", "abc"),
+    ("synth.dim", 2.5),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_mistyped_value_names_its_key(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(_with_value(key, value))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("ranklosslab: ")
+        assert key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_is_the_default_sweep(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cfg = tmp_path / "readme.yaml"
+        cfg.write_text(re.search(r"```yaml\n(.*?)```", readme, re.S).group(1))
+        spec = load_spec(cfg, None, None)
+        assert replace(spec, output_path="runs") == default_sweep_spec()
+
+    def test_entry_point_reports_bad_value_without_traceback(self, tmp_path):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(_with_value("synth.dim", "abc"))
+        env = {**os.environ, "PYTHONPATH": str(Path(ranklosslab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ranklosslab.cli", "train", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "synth.dim" in proc.stderr
 
 
 class TestGradcheckCommand:
@@ -124,3 +203,15 @@ run:
         assert (out_dir / "bench_timeline.csv").exists()
         assert (out_dir / "bench_scaling.csv").exists()
         assert "median pruned-path time" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("arm", ["inseparable_ap", "smoothed_ap_gd"])
+    def test_config_without_error_driven_arm_is_rejected(self, arm, tmp_path, capsys):
+        cfg = tmp_path / "bench.yaml"
+        cfg.write_text(
+            f"synth: {{dim: 3, positives: 4, negatives: 20}}\n"
+            f"train: {{{arm}: {{step: {{kind: piecewise}}}}}}\n"
+        )
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error_driven_ap" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -26,6 +26,7 @@ from ranklosslab import (
     verify_regret_bound,
 )
 from ranklosslab.experiments import GD_FAILURE_INIT, gd_failure_dataset
+from ranklosslab import trainer as trainer_module
 from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
 from helpers import random_batch_arrays
 
@@ -131,6 +132,21 @@ class TestTrainConvergence:
         cfg = TrainConfig(loss_kind="auc", step_size=0.1, max_iters=25, stop_at_zero_loss=False)
         _, trace = train(LinearModel(np.zeros(4)), data, cfg)
         assert trace.iterations == 25
+
+    def test_per_group_evaluates_each_group_once_per_iteration(self, monkeypatch):
+        # The chosen group's traced loss is the one computed to pick it.
+        calls = []
+        counted = trainer_module._ap_loss_core
+        monkeypatch.setattr(
+            trainer_module, "_ap_loss_core", lambda *a: calls.append(1) or counted(*a)
+        )
+        data = generate(
+            SynthConfig(dim=4, positives=9, negatives=30, groups=3, margin=-0.5, seed=2)
+        )
+        cfg = TrainConfig(max_iters=40, stop_at_zero_loss=False, update_scope="per_group")
+        _, trace = train(LinearModel(np.zeros(4)), data, cfg)
+        assert trace.iterations == 40
+        assert len(calls) == 40 * 3 + 1  # every group each iteration, plus the final joint loss
 
 
 class TestGdFailureDichotomy:
