@@ -4,7 +4,9 @@ Row i belongs to positive ``pos[i]``.  Columns run over the positives
 first, then the negatives, so row i's own column is column i; the rank
 denominator 1 + sum_{k != i} step(s_k - s_i) excludes exactly that
 column.  Every dense AP-style loss, update and baseline builds its block
-here so that this layout is decided in one place.
+here so that this layout is decided in one place; the AUC-style loss and
+the ramp-integral sums need no denominator and take ``diff_block`` over
+the negatives alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import numpy as np
 
 def diffs(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """Block of s_j - s_i: one row per positive i, columns over pos then neg."""
-    return scores[np.concatenate([pos, neg])][None, :] - scores[pos][:, None]
+    return diff_block(scores, pos, np.concatenate([pos, neg]))
+
+
+def diff_block(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Block of s_j - s_i: one row per i in ``rows``, one column per j in ``cols``."""
+    return scores[cols][None, :] - scores[rows][:, None]
 
 
 def rank_denominators(f: np.ndarray) -> np.ndarray:

@@ -219,7 +219,7 @@ def _print_rows(result, spec) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    traces = run_counterexample(out_dir=args.out, gd_iters=args.gd_iters, seed=args.seed)
+    traces = run_counterexample(out_dir=args.out, gd_iters=args.gd_iters)
     err = traces["error_driven_ap"]
     gd = traces["smoothed_ap_gd"]
     print(
@@ -263,12 +263,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ranklosslab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
-    def add(name: str, help_text: str, *, config: bool = False, out: bool = True):
+    def add(name: str, help_text: str, *, config=False, seed=True, out=True):
         p = sub.add_parser(name, help=help_text)
         # Under --config, an omitted --seed or --out keeps the config's value.
         if config:
             p.add_argument("--config", help="YAML experiment config")
-        p.add_argument("--seed", type=int, default=None if config else 0, help="base seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None if config else 0, help="base seed")
         if out:
             p.add_argument("--out", default=None if config else _OUT, help="output directory")
         return p
@@ -278,9 +279,9 @@ def build_parser() -> _Parser:
     )
     add("train", "run one training experiment", config=True)
     add("sweep", "run the imbalance-ratio sweep", config=True)
-    add("counterexample", "reproduce the gradient-descent failure construction").add_argument(
-        "--gd-iters", type=int, default=100_000
-    )
+    add(
+        "counterexample", "reproduce the gradient-descent failure construction", seed=False
+    ).add_argument("--gd-iters", type=int, default=100_000)
     bounds = add("bounds", "verify the accumulated-loss bound on inseparable runs")
     bounds.add_argument("--runs", type=int, default=10)
     bounds.add_argument("--u-count", type=int, default=50)

@@ -307,7 +307,6 @@ GD_FAILURE_INIT = (10.0, 5.0)
 def run_counterexample(
     out_dir: str | Path | None = None,
     gd_iters: int = 100_000,
-    seed: int = 0,
 ) -> dict[str, TrainTrace]:
     """Train both updates on the failure construction from (10, 5).
 
@@ -323,14 +322,12 @@ def run_counterexample(
         step_size=1.0,
         max_iters=1000,
         grad_opts=GradOptions(normalize_by_positives=False),
-        seed=seed,
     )
     gd_cfg = TrainConfig(
         loss_kind="smoothed_ap_gd",
         step_size=1.0,
         max_iters=gd_iters,
         smoothed=SmoothedApConfig(k=1.0, log_space=False),
-        seed=seed,
     )
     _, error_trace = train(init, data, error_cfg)
     _, gd_trace = train(init, data, gd_cfg)
@@ -466,15 +463,22 @@ class BenchResult:
 def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
     """Timing study of trivial-negative pruning.
 
-    Timeline: trains the error-driven update on ``spec.synth`` data for a
-    fixed iteration count, timing each step's gradient with and without
-    pruning (the pruned gradient drives the update) and recording how far
-    the two results diverge.  Scaling: times the unpruned path on fresh
-    random batches of growing negative count at fixed positive count.
+    Timeline: trains the error-driven update jointly on ``spec.synth`` data
+    for exactly ``max_iters`` iterations, timing each step's gradient with
+    and without pruning (the pruned gradient drives the update) and
+    recording how far the two results diverge.  Scaling: times the unpruned
+    path on fresh random batches of growing negative count at fixed
+    positive count.  The spec must hold only an ``error_driven_ap`` entry
+    in joint scope and one repetition; ``stop_at_zero_loss`` and
+    ``timing`` do not apply.
     """
-    cfg = spec.train.get("error_driven_ap")
-    if cfg is None:
-        raise ValueError("the pruning bench needs an 'error_driven_ap' entry under 'train'")
+    if list(spec.train) != ["error_driven_ap"]:
+        raise ValueError(f"the pruning bench times only 'error_driven_ap', got {list(spec.train)}")
+    cfg = spec.train["error_driven_ap"]
+    if cfg.update_scope != "joint":
+        raise ValueError("the pruning bench trains jointly; update_scope must be 'joint'")
+    if spec.repetitions != 1:
+        raise ValueError(f"the pruning bench runs once; repetitions is {spec.repetitions}, not 1")
     data = generate(spec.synth)
     features = data.features
     pos, neg = partition(data)

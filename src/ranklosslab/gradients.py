@@ -186,6 +186,7 @@ def _accelerated_core(
 
     sub = np.concatenate([pos, kept_neg])
     s_sub = scores[sub]
+    neg_grad = np.zeros(kept_neg.shape[0])
     max_prec = 0.0
     loss = 0.0
     precs = np.empty(p)
@@ -203,7 +204,8 @@ def _accelerated_core(
         contribution = row.sum()
         loss += contribution
         grad[pos[a]] -= contribution
-        grad[kept_neg] += row
+        neg_grad += row
+    grad[kept_neg] = neg_grad
     loss /= p
     if opts.normalize_by_positives:
         grad /= p

@@ -40,7 +40,7 @@ def _ap_loss_core(scores, pos, neg, cfg: StepConfig) -> float:
 
 def _auc_steps(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
     """Step matrix of s_j - s_i: one row per positive i, one column per negative j."""
-    return step_value(scores[neg][None, :] - scores[pos][:, None], cfg)
+    return step_value(_pairwise.diff_block(scores, pos, neg), cfg)
 
 
 def primary_terms(batch: SampleBatch, i: int, cfg: StepConfig = HEAVISIDE) -> np.ndarray:

@@ -94,16 +94,13 @@ def _step_scalar(x: float, cfg: StepConfig) -> float:
 
 def _step_array(x: np.ndarray, cfg: StepConfig) -> np.ndarray:
     if cfg.kind == HEAVISIDE_KIND:
-        return np.where(x >= 0.0, 1.0, 0.0)
+        return (x >= 0.0).astype(np.float64)
     if cfg.kind == PIECEWISE_KIND:
         return np.clip(x / (2.0 * cfg.delta) + 0.5, 0.0, 1.0)
+    # Logistic with exp(-|z|) <= 1, so exp() never overflows on either side.
     z = x / cfg.k
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(z))
+    return (np.where(z >= 0.0, 1.0, e) / (1.0 + e)).astype(np.float64, copy=False)
 
 
 def ramp_integral(x, delta: float):
@@ -116,11 +113,7 @@ def ramp_integral(x, delta: float):
     if not 0 < delta < math.inf:
         raise ValueError(f"ramp_integral requires finite delta > 0, got {delta}")
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(
-        x <= -delta,
-        0.0,
-        np.where(x > delta, x, (x + delta) ** 2 / (4.0 * delta)),
-    )
+    out = np.where(x > delta, x, (np.clip(x, -delta, delta) + delta) ** 2 / (4.0 * delta))
     if out.ndim == 0:
         return float(out)
     return out

@@ -374,7 +374,7 @@ class BoundReport:
 
 def _ramp_row_sums(su: np.ndarray, pos: np.ndarray, neg: np.ndarray, delta: float) -> np.ndarray:
     """Per-positive sums over the negatives j of ramp_integral(s_j - s_i)."""
-    return ramp_integral(su[neg][None, :] - su[pos][:, None], delta).sum(axis=1)
+    return ramp_integral(_pairwise.diff_block(su, pos, neg), delta).sum(axis=1)
 
 
 def verify_regret_bound(
@@ -390,13 +390,15 @@ def verify_regret_bound(
     The summed exact loss over the run must not exceed (8/delta) times the
     summed surrogate at the comparator plus (4 R^2 / delta^2) times the
     squared distance from the initial weights to the comparator.  Requires
-    a trace recorded with weight snapshots and the step size delta / R^2
-    the bound's derivation assumes.
+    a trace recorded with weight snapshots, with the ramp half-width
+    ``delta`` and the step size delta / R^2 the bound's derivation assumes.
     """
     if trace.loss_kind != "inseparable_ap":
         raise ValueError("bound verification requires an inseparable_ap training trace")
     if trace.thetas is None or len(trace.thetas) != trace.iterations:
         raise ValueError("trace must carry a weight snapshot for every iteration")
+    if delta != trace.delta:
+        raise ValueError(f"delta {delta} does not match the trace's ramp half-width {trace.delta}")
     if R is None:
         R = jacobian_norm_bound(data)
     expected_eta = delta / (R * R)

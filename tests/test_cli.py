@@ -55,6 +55,7 @@ class TestExitCodes:
             ["bounds", "--config", "x.yaml"],
             ["gradcheck", "--out", "runs"],
             ["train", "--format", "csv"],
+            ["counterexample", "--seed", "1"],
         ],
     )
     def test_options_a_subcommand_does_not_read_are_rejected(self, argv, capsys):
@@ -164,8 +165,8 @@ class TestSweepCommand:
 class TestCounterexampleCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["counterexample", "--seed", "0", "--out", str(out_a), "--gd-iters", "500"]) == 0
-        assert main(["counterexample", "--seed", "0", "--out", str(out_b), "--gd-iters", "500"]) == 0
+        assert main(["counterexample", "--out", str(out_a), "--gd-iters", "500"]) == 0
+        assert main(["counterexample", "--out", str(out_b), "--gd-iters", "500"]) == 0
         for name in ("trace_error_driven_ap.csv", "trace_smoothed_ap_gd.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
             assert (out_a / name).read_text().splitlines()[0] == ",".join(TRACE_HEADER)
@@ -203,6 +204,22 @@ run:
         assert (out_dir / "bench_timeline.csv").exists()
         assert (out_dir / "bench_scaling.csv").exists()
         assert "median pruned-path time" in capsys.readouterr().out
+
+    def test_config_settings_the_bench_would_ignore_are_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.yaml"
+        cfg.write_text(
+            """
+synth: {dim: 4, positives: 6, negatives: 60, groups: 3}
+train:
+  error_driven_ap: {max_iters: 5, update_scope: per_group}
+  smoothed_ap_gd: {max_iters: 5}
+run: {repetitions: 3}
+"""
+        )
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ranklosslab: the pruning bench")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("arm", ["inseparable_ap", "smoothed_ap_gd"])
     def test_config_without_error_driven_arm_is_rejected(self, arm, tmp_path, capsys):

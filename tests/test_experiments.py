@@ -170,6 +170,23 @@ class TestBench:
             "iter,wall_pruned_ns,wall_full_ns,pruned_neg,grad_max_diff,loss_diff"
         ]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s, c: replace(s, train={c.loss_kind: replace(c, update_scope="per_group")}),
+             "update_scope"),
+            (lambda s, c: replace(s, repetitions=3), "repetitions"),
+            (lambda s, c: replace(s, train={**s.train, "auc": TrainConfig(loss_kind="auc")}),
+             "times only"),
+        ],
+        ids=["per_group", "repetitions", "extra_arm"],
+    )
+    def test_settings_the_bench_would_ignore_are_rejected(self, edit, message, tmp_path):
+        spec = default_bench_spec(seed=0, out=tmp_path / "out", iters=3)
+        with pytest.raises(ValueError, match=message):
+            bench_acceleration(edit(spec, spec.train["error_driven_ap"]))
+        assert not (tmp_path / "out").exists()
+
 
 class TestWriteCsv:
     def test_float_formatting_roundtrips(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 
 from ranklosslab import SampleBatch, StepConfig, partition, step_value
-from ranklosslab._pairwise import diffs, rank_denominators
+from ranklosslab._pairwise import diffs, diff_block, rank_denominators
 from helpers import random_batch_arrays
 
 
@@ -23,3 +23,12 @@ class TestPairwiseKernel:
             valid = np.concatenate([pos, neg]).tolist()
             counts = [1 + sum(1 for k in valid if k != i and scores[k] >= scores[i]) for i in pos]
             np.testing.assert_array_equal(denom, counts)
+
+    def test_negative_block_is_the_negative_columns(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            scores, labels = random_batch_arrays(rng, max_n=40, max_pos=8, tie_prob=0.5)
+            pos, neg = partition(SampleBatch(scores, labels))
+            block = diff_block(scores, pos, neg)
+            assert block.shape == (pos.shape[0], neg.shape[0])
+            np.testing.assert_array_equal(block, diffs(scores, pos, neg)[:, pos.shape[0]:])

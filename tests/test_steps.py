@@ -113,3 +113,69 @@ class TestRampIntegral:
     def test_requires_positive_delta(self):
         with pytest.raises(ValueError):
             ramp_integral(0.0, 0.0)
+
+
+def _heaviside_two_branch(x):
+    return np.where(x >= 0.0, 1.0, 0.0)
+
+
+def _sigmoid_two_branch(z):
+    # Each side evaluated only where its exp() cannot overflow.
+    out = np.empty(z.shape)
+    up = z >= 0.0
+    out[up] = 1.0 / (1.0 + np.exp(-z[up]))
+    e = np.exp(z[~up])
+    out[~up] = e / (1.0 + e)
+    return out
+
+
+def _ramp_integral_three_branch(x, delta):
+    return np.where(x <= -delta, 0.0, np.where(x > delta, x, (x + delta) ** 2 / (4.0 * delta)))
+
+
+def _bit_equal(a, b):
+    same_sign = np.array_equal(np.signbit(a), np.signbit(b))
+    return a.shape == b.shape and np.array_equal(a, b) and same_sign
+
+
+def _exactness_inputs(edge=1.0):
+    """Lengths that exercise SIMD bodies and tails, strided and 2-D views, and +-edge."""
+    rng = np.random.default_rng(12)
+    special = np.array([0.0, -0.0, 0.5, -0.5, edge, -edge, 2000.0, -2000.0, 1e-300, -1e-300])
+    arrays = []
+    for n in [*range(71), 127, 128, 129, 4097]:
+        x = rng.uniform(-3.0, 3.0, size=n)
+        mask = rng.random(n) < 0.2
+        x[mask] = rng.choice(special, size=int(mask.sum()))
+        if n > 1:
+            x[n // 2] = x[0]  # a tie
+        arrays.append(x)
+    wide = rng.uniform(-2000.0, 2000.0, size=4097)
+    arrays.append(wide)
+    arrays.append(wide[::3])
+    arrays.append(wide[1:4001].reshape(40, 100)[:, 5:90])
+    arrays.append(wide[:4096].reshape(64, 64).T)
+    arrays.append(np.repeat(special, 13))
+    return arrays
+
+
+class TestBitExactness:
+    """The vectorized kernels give the same bits as their plain branch-wise definitions."""
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, 0.3])
+    def test_sigmoid(self, k):
+        for x in _exactness_inputs():
+            assert _bit_equal(step_value(x, StepConfig.sigmoid(k)), _sigmoid_two_branch(x / k))
+
+    def test_heaviside(self):
+        for x in _exactness_inputs():
+            assert _bit_equal(step_value(x, StepConfig.heaviside()), _heaviside_two_branch(x))
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.7])
+    def test_ramp_integral(self, delta):
+        for x in _exactness_inputs(edge=delta):
+            assert _bit_equal(ramp_integral(x, delta), _ramp_integral_three_branch(x, delta))
+
+    def test_sigmoid_float64_output(self):
+        x = np.linspace(-5.0, 5.0, 11, dtype=np.float32)
+        assert step_value(x, StepConfig.sigmoid(0.5)).dtype == np.float64

@@ -343,6 +343,25 @@ class TestRegretBound:
         with pytest.raises(ValueError, match="step size"):
             verify_regret_bound(trace, data, np.zeros(6), 1.0)
 
+    def test_delta_mismatch_rejected(self):
+        # Trained with delta 1 at step size 2/R^2, which is exactly delta/R^2
+        # for delta 2: only the delta check can tell the runs apart.
+        data = generate(SynthConfig(dim=6, positives=8, negatives=40, margin=-0.5, seed=0))
+        r_bound = jacobian_norm_bound(data)
+        cfg = TrainConfig(
+            loss_kind="inseparable_ap",
+            step_cfg=StepConfig.piecewise(1.0),
+            step_size=2.0 / r_bound**2,
+            max_iters=30,
+            stop_at_zero_loss=False,
+            record_weights=True,
+        )
+        _, trace = train(LinearModel(np.zeros(6)), data, cfg)
+        with pytest.raises(ValueError, match="delta 2.0 does not match"):
+            verify_regret_bound(trace, data, np.zeros(6), 2.0, R=r_bound)
+        with pytest.raises(ValueError, match="step size"):
+            verify_regret_bound(trace, data, np.zeros(6), 1.0, R=r_bound)
+
     def test_requires_weight_snapshots(self):
         data = generate(SynthConfig(dim=4, positives=3, negatives=10, margin=-0.5, seed=4))
         cfg = TrainConfig(
