@@ -47,9 +47,9 @@ class SmoothedApConfig:
 
 
 def _smoothed_core(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, n: int, cfg: SmoothedApConfig
+    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: SmoothedApConfig
 ) -> tuple[float, np.ndarray]:
-    grad = np.zeros(n)
+    grad = np.zeros(scores.shape[0])
     p, q = pos.shape[0], neg.shape[0]
     if p == 0 or q == 0:
         return 0.0, grad
@@ -90,13 +90,13 @@ def smoothed_ap_loss_and_grad(
     is exact (finite-difference checkable), not error-driven.
     """
     pos, neg = partition(batch)
-    return _smoothed_core(batch.scores, pos, neg, batch.n, cfg)
+    return _smoothed_core(batch.scores, pos, neg, cfg)
 
 
 def _auc_core(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, n: int, cfg: StepConfig
+    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig
 ) -> tuple[float, np.ndarray]:
-    grad = np.zeros(n)
+    grad = np.zeros(scores.shape[0])
     p, q = pos.shape[0], neg.shape[0]
     if p == 0 or q == 0:
         return 0.0, grad
@@ -117,7 +117,7 @@ def auc_grad(
     sums to zero exactly.
     """
     pos, neg = partition(batch)
-    return _auc_core(batch.scores, pos, neg, batch.n, cfg)
+    return _auc_core(batch.scores, pos, neg, cfg)
 
 
 def softmax_error_driven(x: np.ndarray, y: int) -> np.ndarray:

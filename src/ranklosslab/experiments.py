@@ -27,6 +27,7 @@ from .trainer import (
     LinearModel,
     TrainConfig,
     TrainTrace,
+    _resolve_step_size,
     jacobian_norm_bound,
     surrogate_loss,
     train,
@@ -154,7 +155,7 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
     traces; optionally writes ``results.csv`` plus one trace file per run
     under ``spec.output_path``.  Tasks run in parallel (capped by the
     RANKLOSSLAB_THREADS environment variable) unless timing is on, in
-    which case they run sequentially so measurements do not contend.
+    which case one worker runs them in turn so measurements do not contend.
     """
     grid = spec.negatives_grid or (spec.synth.negatives,)
     tasks = [
@@ -163,18 +164,11 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
         for n_neg in grid
         for rep in range(spec.repetitions)
     ]
-    outcomes: dict[tuple[str, int, int], tuple[tuple, TrainTrace]] = {}
-    if spec.timing or len(tasks) == 1:
-        for task in tasks:
-            outcomes[task] = _run_one(spec, *task)
-    else:
-        with ThreadPoolExecutor(max_workers=min(thread_count(), len(tasks))) as pool:
-            futures = {task: pool.submit(_run_one, spec, *task) for task in tasks}
-        for task, fut in futures.items():
-            outcomes[task] = fut.result()
-
-    rows = [outcomes[task][0] for task in tasks]
-    traces = {task: outcomes[task][1] for task in tasks}
+    workers = 1 if spec.timing else min(thread_count(), len(tasks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(lambda task: _run_one(spec, *task), tasks))
+    rows = [row for row, _ in outcomes]
+    traces = {task: trace for task, (_, trace) in zip(tasks, outcomes)}
     if write:
         out = Path(spec.output_path)
         write_csv(out / "results.csv", RESULT_HEADER, rows)
@@ -482,57 +476,46 @@ def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
     data = generate(spec.synth)
     features = data.features
     pos, neg = partition(data)
-    if pos.size == 0 or neg.size == 0:
-        # Nothing to rank: empty tables (headers only when written).
-        result = BenchResult(timeline=[], scaling=[])
-        if write:
-            out = Path(spec.output_path)
-            write_csv(out / "bench_timeline.csv", TIMELINE_HEADER, result.timeline)
-            write_csv(out / "bench_scaling.csv", SCALING_HEADER, result.scaling)
-        return result
-    theta = np.zeros(spec.synth.dim)
-    eta = cfg.step_size if cfg.step_size is not None else 1.0
-
-    timeline = []
-    for it in range(1, cfg.max_iters + 1):
-        scores = features @ theta
-        batch = SampleBatch(scores, data.labels, data.group_ids)
-        t0 = time.perf_counter_ns()
-        pruned_res = grad_accelerated(
-            batch, cfg.step_cfg, replace(cfg.grad_opts, prune_trivial_negatives=True)
-        )
-        t1 = time.perf_counter_ns()
-        full_res = grad_accelerated(
-            batch, cfg.step_cfg, replace(cfg.grad_opts, prune_trivial_negatives=False)
-        )
-        t2 = time.perf_counter_ns()
-        timeline.append(
-            (
-                it,
-                t1 - t0,
-                t2 - t1,
-                pruned_res.pruned_negatives,
-                float(np.abs(pruned_res.grad - full_res.grad).max()),
-                abs(pruned_res.loss - full_res.loss),
+    timeline, scaling = [], []
+    if pos.size and neg.size:  # with nothing to rank, both tables stay empty
+        theta = np.zeros(spec.synth.dim)
+        eta = _resolve_step_size(cfg, data)
+        for it in range(1, cfg.max_iters + 1):
+            batch = SampleBatch(features @ theta, data.labels, data.group_ids)
+            t0 = time.perf_counter_ns()
+            pruned_res = grad_accelerated(
+                batch, cfg.step_cfg, replace(cfg.grad_opts, prune_trivial_negatives=True)
             )
-        )
-        theta -= eta * (features.T @ pruned_res.grad)
+            t1 = time.perf_counter_ns()
+            full_res = grad_accelerated(
+                batch, cfg.step_cfg, replace(cfg.grad_opts, prune_trivial_negatives=False)
+            )
+            t2 = time.perf_counter_ns()
+            timeline.append(
+                (
+                    it,
+                    t1 - t0,
+                    t2 - t1,
+                    pruned_res.pruned_negatives,
+                    float(np.abs(pruned_res.grad - full_res.grad).max()),
+                    abs(pruned_res.loss - full_res.loss),
+                )
+            )
+            theta -= eta * (features.T @ pruned_res.grad)
 
-    scaling = []
-    grid = spec.negatives_grid or (1000, 2000, 4000, 8000, 16000)
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(child_seed(spec.synth.seed, 999)))
-    )
-    n_pos = max(spec.synth.positives, 1)
-    for n_neg in grid:
-        labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
-        scores = rng.standard_normal(n_pos + n_neg)
-        batch = SampleBatch(scores, labels)
-        opts = replace(cfg.grad_opts, prune_trivial_negatives=False)
-        best = min(
-            _timed_ns(lambda: grad_accelerated(batch, cfg.step_cfg, opts)) for _ in range(5)
+        grid = spec.negatives_grid or (1000, 2000, 4000, 8000, 16000)
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(child_seed(spec.synth.seed, 999)))
         )
-        scaling.append((int(n_neg), best))
+        n_pos = spec.synth.positives
+        opts = replace(cfg.grad_opts, prune_trivial_negatives=False)
+        for n_neg in grid:
+            labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, np.int64)])
+            batch = SampleBatch(rng.standard_normal(n_pos + n_neg), labels)
+            best = min(
+                _timed_ns(lambda: grad_accelerated(batch, cfg.step_cfg, opts)) for _ in range(5)
+            )
+            scaling.append((int(n_neg), best))
 
     if write:
         out = Path(spec.output_path)

@@ -169,12 +169,11 @@ def _accelerated_core(
     scores: np.ndarray,
     pos: np.ndarray,
     neg: np.ndarray,
-    n: int,
     cfg: StepConfig,
     opts: GradOptions,
 ) -> GradResult:
     """Row-at-a-time gradient on raw arrays (shared hot path)."""
-    grad = np.zeros(n)
+    grad = np.zeros(scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return GradResult(0.0, grad, 0, np.ones(p))
@@ -227,4 +226,4 @@ def grad_accelerated(
     rescaled so recorded precisions never decrease.
     """
     pos, neg = partition(batch)
-    return _accelerated_core(batch.scores, pos, neg, batch.n, cfg, opts)
+    return _accelerated_core(batch.scores, pos, neg, cfg, opts)

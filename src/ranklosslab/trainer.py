@@ -139,7 +139,7 @@ def score_dataset(model: LinearModel, data: RankingDataset) -> SampleBatch:
 
 
 def _inseparable_grad(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, n: int, delta: float
+    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, delta: float
 ) -> tuple[float, np.ndarray]:
     """Margin-modified update: ramp numerator over a hard-rank denominator.
 
@@ -148,7 +148,7 @@ def _inseparable_grad(
     exactly gradient descent on that surrogate with the denominators
     frozen at the current weights.
     """
-    grad = np.zeros(n)
+    grad = np.zeros(scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0, grad
@@ -193,21 +193,19 @@ def _resolve_step_size(cfg: TrainConfig, data: RankingDataset) -> float:
     return 1.0
 
 
-def _error_driven_rule(scores, pos, neg, n, cfg: TrainConfig):
-    res = _accelerated_core(scores, pos, neg, n, cfg.step_cfg, cfg.grad_opts)
+def _error_driven_rule(scores, pos, neg, cfg: TrainConfig):
+    res = _accelerated_core(scores, pos, neg, cfg.step_cfg, cfg.grad_opts)
     return res.loss, res.grad, res.pruned_negatives
 
 
 # The update rule of each loss kind, on raw score arrays:
-# (scores, pos, neg, n, cfg) -> (surrogate, score gradient, pruned negatives).
+# (scores, pos, neg, cfg) -> (surrogate, score gradient, pruned negatives).
 _UPDATE_RULES = {
     "error_driven_ap": _error_driven_rule,
-    "smoothed_ap_gd": lambda s, pos, neg, n, cfg: (
-        *_smoothed_core(s, pos, neg, n, cfg.smoothed), 0
-    ),
-    "auc": lambda s, pos, neg, n, cfg: (*_auc_core(s, pos, neg, n, cfg.step_cfg), 0),
-    "inseparable_ap": lambda s, pos, neg, n, cfg: (
-        *_inseparable_grad(s, pos, neg, n, cfg.step_cfg.delta), 0
+    "smoothed_ap_gd": lambda s, pos, neg, cfg: (*_smoothed_core(s, pos, neg, cfg.smoothed), 0),
+    "auc": lambda s, pos, neg, cfg: (*_auc_core(s, pos, neg, cfg.step_cfg), 0),
+    "inseparable_ap": lambda s, pos, neg, cfg: (
+        *_inseparable_grad(s, pos, neg, cfg.step_cfg.delta), 0
     ),
 }
 LOSS_KINDS = tuple(_UPDATE_RULES)
@@ -216,7 +214,7 @@ LOSS_KINDS = tuple(_UPDATE_RULES)
 def _rule_step(kind: str, model: LinearModel, data: RankingDataset, cfg: TrainConfig):
     scores = data.features @ model.theta
     pos, neg = partition(data)
-    _, grad, _ = _UPDATE_RULES[kind](scores, pos, neg, data.n, cfg)
+    _, grad, _ = _UPDATE_RULES[kind](scores, pos, neg, cfg)
     eta = _resolve_step_size(cfg, data)
     return LinearModel(model.theta - eta * (data.features.T @ grad))
 
@@ -274,57 +272,47 @@ def train(
 
     joint_pos, joint_neg = partition(data)
     rule = _UPDATE_RULES[cfg.loss_kind]
+    # Update batches as (rows, pos, neg) with their group ids: the whole
+    # dataset (a slice, so no copy) or one batch per group.
     per_group = cfg.update_scope == "per_group"
     if per_group:
         gids = data.groups()
-        group_rows = [data.group_rows(g) for g in gids]
-        group_parts = [partition(data.subset(rows)) for rows in group_rows]
+        batches = [(rows, *partition(data.subset(rows))) for rows in map(data.group_rows, gids)]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    else:
+        gids = [-1]
+        batches = [(slice(None), joint_pos, joint_neg)]
 
     for it in range(1, cfg.max_iters + 1):
         scores = _finite_scores(features, theta, it, cfg.loss_kind)
+        losses = [_ap_loss_core(scores[rows], pos, neg, HEAVISIDE) for rows, pos, neg in batches]
+        chosen = 0
         if per_group:
-            group_losses = [
-                _ap_loss_core(scores[rows], p_, n_, HEAVISIDE)
-                for rows, (p_, n_) in zip(group_rows, group_parts)
-            ]
-            erring = [k for k, v in enumerate(group_losses) if v > 0.0]
+            erring = [k for k, v in enumerate(losses) if v > 0.0]
             if not erring:
                 if cfg.stop_at_zero_loss:
                     break
                 erring = list(range(len(gids)))
             chosen = erring[int(rng.integers(len(erring)))]
-            rows = group_rows[chosen]
-            pos, neg = group_parts[chosen]
-            sub_scores = scores[rows]
-            gid = gids[chosen]
-            exact = group_losses[chosen]
-        else:
-            rows = None
-            pos, neg = joint_pos, joint_neg
-            sub_scores = scores
-            gid = -1
-            exact = _ap_loss_core(sub_scores, pos, neg, HEAVISIDE)
+        rows, pos, neg = batches[chosen]
 
-        if timing:
-            t0 = time.perf_counter_ns()
-        surrogate, grad, pruned = rule(sub_scores, pos, neg, sub_scores.shape[0], cfg)
+        t0 = time.perf_counter_ns()
+        surrogate, grad, pruned = rule(scores[rows], pos, neg, cfg)
         wall = time.perf_counter_ns() - t0 if timing else 0
 
-        trace.ap_loss.append(float(exact))
+        trace.ap_loss.append(float(losses[chosen]))
         trace.surrogate.append(float(surrogate))
         trace.wall_ns.append(int(wall))
         trace.pruned_neg.append(int(pruned))
-        trace.group_id.append(int(gid))
+        trace.group_id.append(int(gids[chosen]))
         if cfg.record_weights:
             trace.thetas.append(theta.copy())
 
-        if not per_group and cfg.stop_at_zero_loss and exact == 0.0:
+        # Only a joint batch can reach here at zero loss with stopping on:
+        # it records the zero-loss row, then stops.
+        if cfg.stop_at_zero_loss and losses[chosen] == 0.0:
             break
-        if rows is None:
-            theta -= eta * (features.T @ grad)
-        else:
-            theta -= eta * (features[rows].T @ grad)
+        theta -= eta * (features[rows].T @ grad)
 
     final_scores = _finite_scores(features, theta, it + 1, cfg.loss_kind)
     trace.final_joint_ap_loss = _ap_loss_core(final_scores, joint_pos, joint_neg, HEAVISIDE)
@@ -397,10 +385,16 @@ def verify_regret_bound(
         raise ValueError("bound verification requires an inseparable_ap training trace")
     if trace.thetas is None or len(trace.thetas) != trace.iterations:
         raise ValueError("trace must carry a weight snapshot for every iteration")
+    if trace.iterations == 0:
+        raise ValueError("trace has no iterations (training began at zero loss); nothing to bound")
     if delta != trace.delta:
         raise ValueError(f"delta {delta} does not match the trace's ramp half-width {trace.delta}")
     if R is None:
         R = jacobian_norm_bound(data)
+    if not R > 0.0:
+        raise ValueError(
+            f"R must be positive, got {R}: no positive-negative pair has differing features"
+        )
     expected_eta = delta / (R * R)
     if abs(trace.step_size - expected_eta) > 1e-9 * max(expected_eta, 1.0):
         raise ValueError(
@@ -409,16 +403,10 @@ def verify_regret_bound(
         )
     u = np.asarray(u, dtype=np.float64)
     T = trace.iterations
-    group_cache: dict[int, RankingDataset] = {}
-
-    def group_data(gid: int) -> RankingDataset:
-        if gid not in group_cache:
-            group_cache[gid] = data if gid == -1 else data.subset(data.group_rows(gid))
-        return group_cache[gid]
-
+    groups = {g: data if g == -1 else data.subset(data.group_rows(g)) for g in set(trace.group_id)}
     surrogate_sum = 0.0
-    for t in range(T):
-        surrogate_sum += surrogate_loss(u, group_data(trace.group_id[t]), trace.thetas[t], delta)
+    for gid, theta in zip(trace.group_id, trace.thetas):
+        surrogate_sum += surrogate_loss(u, groups[gid], theta, delta)
 
     accumulated = float(np.sum(trace.ap_loss))
     distance_sq = float(np.sum((u - trace.thetas[0]) ** 2))
@@ -427,8 +415,8 @@ def verify_regret_bound(
 
     z_u = None
     b_log = b_sat = off_ok = None
-    if len(set(trace.group_id)) == 1:
-        gdata = group_data(trace.group_id[0])
+    if len(groups) == 1:
+        (gdata,) = groups.values()
         row_sums = _ramp_row_sums(gdata.features @ u, *partition(gdata), delta)
         if row_sums.size:
             z_u = float(row_sums.max())

@@ -75,6 +75,11 @@ class TestRunExperiment:
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_single_task_run_reads_the_worker_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RANKLOSSLAB_THREADS", "zero")
+        with pytest.raises(ValueError, match="RANKLOSSLAB_THREADS"):
+            run_experiment(small_spec(tmp_path), write=False)
+
     def test_wall_columns_zero_without_timing(self, tmp_path):
         res = run_experiment(small_spec(tmp_path), write=False)
         assert all(row[-1] == 0 for row in res.rows)

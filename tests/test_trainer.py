@@ -148,6 +148,19 @@ class TestTrainConvergence:
         assert trace.iterations == 40
         assert len(calls) == 40 * 3 + 1  # every group each iteration, plus the final joint loss
 
+    @pytest.mark.parametrize("scope, rows", [("joint", 1), ("per_group", 0)])
+    def test_stop_rule_of_each_scope_from_a_separating_start(self, scope, rows):
+        # A joint run records its zero-loss row and stops; a per-group run
+        # stops before recording once no group errs.
+        data = generate(SynthConfig(dim=5, positives=9, negatives=30, groups=3, margin=0.2, seed=4))
+        cfg = TrainConfig(update_scope=scope, record_weights=True)
+        model, trace = train(LinearModel(data.separator), data, cfg)
+        assert trace.iterations == rows
+        assert trace.ap_loss == [0.0] * rows
+        assert trace.group_id == [-1] * rows
+        assert trace.final_joint_ap_loss == 0.0
+        np.testing.assert_array_equal(model.theta, data.separator)
+
 
 class TestGdFailureDichotomy:
     def test_gradient_descent_stalls_but_error_driven_escapes(self):
@@ -362,6 +375,36 @@ class TestRegretBound:
         with pytest.raises(ValueError, match="step size"):
             verify_regret_bound(trace, data, np.zeros(6), 1.0, R=r_bound)
 
+    def test_zero_iteration_trace_rejected(self):
+        # Per-group training from a separating start records no iteration.
+        data = generate(SynthConfig(dim=4, positives=6, negatives=20, groups=2, margin=0.2, seed=3))
+        cfg = TrainConfig(
+            loss_kind="inseparable_ap",
+            step_cfg=StepConfig.piecewise(1.0),
+            record_weights=True,
+            update_scope="per_group",
+        )
+        _, trace = train(LinearModel(data.separator), data, cfg)
+        assert trace.iterations == 0
+        with pytest.raises(ValueError, match="no iterations"):
+            verify_regret_bound(trace, data, np.zeros(4), 1.0)
+
+    def test_zero_jacobian_bound_rejected(self):
+        # No positive-negative pair: R is 0, so delta/R^2 is undefined.
+        data = RankingDataset(np.random.default_rng(0).standard_normal((6, 3)), np.zeros(6))
+        cfg = TrainConfig(
+            loss_kind="inseparable_ap",
+            step_cfg=StepConfig.piecewise(1.0),
+            step_size=0.1,
+            max_iters=3,
+            stop_at_zero_loss=False,
+            record_weights=True,
+        )
+        _, trace = train(LinearModel(np.zeros(3)), data, cfg)
+        assert jacobian_norm_bound(data) == 0.0
+        with pytest.raises(ValueError, match="R must be positive"):
+            verify_regret_bound(trace, data, np.zeros(3), 1.0)
+
     def test_requires_weight_snapshots(self):
         data = generate(SynthConfig(dim=4, positives=3, negatives=10, margin=-0.5, seed=4))
         cfg = TrainConfig(
@@ -502,7 +545,7 @@ class TestUpdateRules:
             cfg = TrainConfig(step_cfg=step, grad_opts=opts, smoothed=smoothed)
 
             def rule(kind):
-                return _UPDATE_RULES[kind](batch.scores, pos, neg, batch.n, cfg)
+                return _UPDATE_RULES[kind](batch.scores, pos, neg, cfg)
 
             res = grad_accelerated(batch, step, opts)
             surrogate, grad, pruned = rule("error_driven_ap")
