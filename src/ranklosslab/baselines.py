@@ -18,7 +18,7 @@ import numpy as np
 from . import _pairwise
 from .batch import SampleBatch, partition
 from .losses import _auc_steps
-from .steps import HEAVISIDE, StepConfig, step_value
+from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig, step_value
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,16 @@ def _auc_core(
     p, q = pos.shape[0], neg.shape[0]
     if p == 0 or q == 0:
         return 0.0, grad
-    f = _auc_steps(scores, pos, neg, cfg)
+    if cfg.kind == HEAVISIDE_KIND:
+        rows = _pairwise.rank_counts(scores, pos, neg)[0]
+        cols, total = _pairwise.column_counts(scores, pos, neg), rows.sum()
+    else:
+        f = _auc_steps(scores, pos, neg, cfg)
+        rows, cols, total = f.sum(axis=1), f.sum(axis=0), f.sum()
     scale = 1.0 / (p * q)
-    grad[pos] = -f.sum(axis=1) * scale
-    grad[neg] = f.sum(axis=0) * scale
-    return float(f.sum() * scale), grad
+    grad[pos] = -rows * scale
+    grad[neg] = cols * scale
+    return float(total * scale), grad
 
 
 def auc_grad(

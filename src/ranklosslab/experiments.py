@@ -156,6 +156,9 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
     under ``spec.output_path``.  Tasks run in parallel (capped by the
     RANKLOSSLAB_THREADS environment variable) unless timing is on, in
     which case one worker runs them in turn so measurements do not contend.
+    When a task raises, every other task still runs, the finished ones are
+    written (``results.csv`` then holds only their rows), and the first
+    error in task order is raised again.
     """
     grid = spec.negatives_grid or (spec.synth.negatives,)
     tasks = [
@@ -166,14 +169,18 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
     ]
     workers = 1 if spec.timing else min(thread_count(), len(tasks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(lambda task: _run_one(spec, *task), tasks))
-    rows = [row for row, _ in outcomes]
-    traces = {task: trace for task, (_, trace) in zip(tasks, outcomes)}
+        futures = [pool.submit(_run_one, spec, *task) for task in tasks]
+    errors = [f.exception() for f in futures if f.exception() is not None]
+    finished = {task: f.result() for task, f in zip(tasks, futures) if f.exception() is None}
+    rows = [row for row, _ in finished.values()]
+    traces = {task: trace for task, (_, trace) in finished.items()}
     if write:
         out = Path(spec.output_path)
         write_csv(out / "results.csv", RESULT_HEADER, rows)
         for (loss, n_neg, rep), trace in traces.items():
             write_trace_csv(out / f"trace_{loss}_n{n_neg}_r{rep}.csv", trace)
+    if errors:
+        raise errors[0]
     return ExperimentResult(rows=rows, traces=traces)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import _pairwise
 from .batch import SampleBatch, partition
 from .gradients import grad_reference
-from .steps import HEAVISIDE, StepConfig, step_value
+from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig, step_value
 
 
 def _ap_rows(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
@@ -34,7 +34,10 @@ def _ap_rows(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConf
 def _ap_loss_core(scores, pos, neg, cfg: StepConfig) -> float:
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
-    num, denom, _ = _ap_rows(scores, pos, neg, cfg)
+    if cfg.kind == HEAVISIDE_KIND:
+        num, denom = _pairwise.rank_counts(scores, pos, neg)
+    else:
+        num, denom, _ = _ap_rows(scores, pos, neg, cfg)
     return float((num / denom).sum() / pos.shape[0])
 
 
@@ -75,7 +78,11 @@ def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     pos, neg = partition(batch)
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
-    return float(_auc_steps(batch.scores, pos, neg, cfg).sum() / (pos.shape[0] * neg.shape[0]))
+    if cfg.kind == HEAVISIDE_KIND:
+        misordered = _pairwise.rank_counts(batch.scores, pos, neg)[0].sum()
+    else:
+        misordered = _auc_steps(batch.scores, pos, neg, cfg).sum()
+    return float(misordered / (pos.shape[0] * neg.shape[0]))
 
 
 @dataclass(frozen=True)

@@ -152,13 +152,13 @@ def _inseparable_grad(
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0, grad
-    diffs = _pairwise.diffs(scores, pos, neg)
-    denom = _pairwise.rank_denominators(step_value(diffs, HEAVISIDE))
-    soft = step_value(diffs[:, p:], StepConfig.piecewise(delta))
+    diffs = _pairwise.diff_block(scores, pos, neg)
+    denom = _pairwise.rank_counts(scores, pos, neg)[1]
+    soft = step_value(diffs, StepConfig.piecewise(delta))
     terms = soft / denom[:, None]
     grad[pos] = -terms.sum(axis=1) / p
     grad[neg] = terms.sum(axis=0) / p
-    surrogate = float((ramp_integral(diffs[:, p:], delta).sum(axis=1) / denom).sum() / p)
+    surrogate = float((ramp_integral(diffs, delta).sum(axis=1) / denom).sum() / p)
     return surrogate, grad
 
 
@@ -337,8 +337,7 @@ def surrogate_loss(
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0
-    hard = step_value(_pairwise.diffs(data.features @ theta_hat, pos, neg), HEAVISIDE)
-    denom = _pairwise.rank_denominators(hard)
+    denom = _pairwise.rank_counts(data.features @ theta_hat, pos, neg)[1]
     return float((_ramp_row_sums(data.features @ u, pos, neg, delta) / denom).sum() / p)
 
 

@@ -97,6 +97,20 @@ class TestConfigValues:
         assert key in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text,ok",
+        [("1e-3", False), ("1.0e8", False), ("1e+8", False), ("1.0e-3", True), ("1.0e+8", True)],
+    )
+    def test_yaml_exponents_need_a_point_and_a_sign(self, text, ok, tmp_path):
+        # PyYAML reads an exponent without both as a string; the README says so.
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(CONFIG.replace("step_size: 1.0", f"step_size: {text}"))
+        if ok:
+            assert load_spec(cfg, None, None).train["error_driven_ap"].step_size == float(text)
+        else:
+            with pytest.raises(ValueError, match="step_size must be a number"):
+                load_spec(cfg, None, None)
+
     def test_readme_example_is_the_default_sweep(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         cfg = tmp_path / "readme.yaml"
@@ -133,6 +147,32 @@ class TestTrainCommand:
         assert rc == 0
         assert (out_dir / "results.csv").exists()
         assert "final_ap_loss=0" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_arm_keeps_the_finished_arms(self, tmp_path, capsys):
+        arms = """
+synth: {dim: 5, positives: 5, negatives: 40, margin: 0.2, noise_sigma: 1.0, seed: 0}
+train:
+  auc: {max_iters: 50}
+"""
+        (tmp_path / "auc.yaml").write_text(arms)
+        (tmp_path / "both.yaml").write_text(
+            arms + "  error_driven_ap: {step_size: 1.0e+308, max_iters: 50}\n"
+        )
+
+        def run(config, out):
+            return main(["train", "--config", str(tmp_path / config), "--out", str(tmp_path / out)])
+
+        assert run("auc.yaml", "a") == 0
+        capsys.readouterr()
+        assert run("both.yaml", "b") == 1
+        assert "error_driven_ap training diverged" in capsys.readouterr().err
+        # results.csv holds only the finished arm's row, byte for byte.
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "results.csv", "trace_auc_n40_r0.csv"
+        ]
+        for name in ("results.csv", "trace_auc_n40_r0.csv"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"

@@ -1,7 +1,13 @@
 import numpy as np
 
 from ranklosslab import SampleBatch, StepConfig, partition, step_value
-from ranklosslab._pairwise import diffs, diff_block, rank_denominators
+from ranklosslab._pairwise import (
+    column_counts,
+    diff_block,
+    diffs,
+    rank_counts,
+    rank_denominators,
+)
 from helpers import random_batch_arrays
 
 
@@ -32,3 +38,28 @@ class TestPairwiseKernel:
             block = diff_block(scores, pos, neg)
             assert block.shape == (pos.shape[0], neg.shape[0])
             np.testing.assert_array_equal(block, diffs(scores, pos, neg)[:, pos.shape[0]:])
+
+
+class TestRankCounts:
+    def test_counts_on_ties_and_signed_zeros(self):
+        # Ties count against the positive, and -0.0 ties with 0.0.
+        scores = np.array([0.0, 1.0, -0.0, 1.0, 2.0, -1.0, 0.5])
+        labels = np.array([1, 1, 0, 0, 0, 0, -1])
+        pos, neg = partition(SampleBatch(scores, labels))
+        num, denom = rank_counts(scores, pos, neg)
+        col = column_counts(scores, pos, neg)
+        np.testing.assert_array_equal(num, [3.0, 2.0])
+        np.testing.assert_array_equal(denom, [5.0, 3.0])
+        np.testing.assert_array_equal(col, [1.0, 2.0, 2.0, 0.0])
+        assert num.dtype == denom.dtype == col.dtype == np.float64
+
+    def test_overflowing_differences_keep_their_sign(self):
+        scores = np.array([-1.7e308, 1.7e308, 1.7e308, -1.7e308])
+        labels = np.array([1, 1, 0, 0])
+        pos, neg = partition(SampleBatch(scores, labels))
+        with np.errstate(over="ignore"):
+            f = step_value(diffs(scores, pos, neg), StepConfig.heaviside())
+        num, denom = rank_counts(scores, pos, neg)
+        np.testing.assert_array_equal(num, f[:, 2:].sum(axis=1))
+        np.testing.assert_array_equal(denom, rank_denominators(f))
+        np.testing.assert_array_equal(column_counts(scores, pos, neg), f[:, 2:].sum(axis=0))
