@@ -27,7 +27,6 @@ from .trainer import (
     LinearModel,
     TrainConfig,
     TrainTrace,
-    _resolve_step_size,
     jacobian_norm_bound,
     surrogate_loss,
     train,
@@ -103,7 +102,8 @@ class ExperimentSpec:
     ``negatives_grid`` widens the run into an imbalance sweep; ``None``
     means a single run at ``synth.negatives``.  ``timing`` opts into
     measured wall-clock columns (sacrificing byte-reproducibility of the
-    output files).
+    output files).  Each ``train`` key must be its entry's ``loss_kind``,
+    which names the output files.
     """
 
     synth: SynthConfig
@@ -118,6 +118,9 @@ class ExperimentSpec:
             raise ValueError("repetitions must be at least 1")
         if not self.train:
             raise ValueError("at least one training config is required")
+        for key, cfg in self.train.items():
+            if key != cfg.loss_kind:
+                raise ValueError(f"train entry {key!r} holds loss_kind {cfg.loss_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -464,14 +467,14 @@ class BenchResult:
 def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
     """Timing study of trivial-negative pruning.
 
-    Timeline: trains the error-driven update jointly on ``spec.synth`` data
-    for exactly ``max_iters`` iterations, timing each step's gradient with
-    and without pruning (the pruned gradient drives the update) and
-    recording how far the two results diverge.  Scaling: times the unpruned
-    path on fresh random batches of growing negative count at fixed
-    positive count.  The spec must hold only an ``error_driven_ap`` entry
-    in joint scope and one repetition; ``stop_at_zero_loss`` and
-    ``timing`` do not apply.
+    Timeline: ``train`` runs the error-driven entry on ``spec.synth`` data
+    with pruning on for exactly ``max_iters`` iterations, recording its
+    weights; at each recorded weight vector the bench then times the
+    gradient with and without pruning and records how far the two results
+    diverge.  Scaling: times the unpruned path on fresh random batches of
+    growing negative count at fixed positive count.  The spec must hold
+    only an ``error_driven_ap`` entry in joint scope and one repetition;
+    ``stop_at_zero_loss`` and ``timing`` do not apply.
     """
     if list(spec.train) != ["error_driven_ap"]:
         raise ValueError(f"the pruning bench times only 'error_driven_ap', got {list(spec.train)}")
@@ -481,22 +484,19 @@ def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
     if spec.repetitions != 1:
         raise ValueError(f"the pruning bench runs once; repetitions is {spec.repetitions}, not 1")
     data = generate(spec.synth)
-    features = data.features
     pos, neg = partition(data)
     timeline, scaling = [], []
     if pos.size and neg.size:  # with nothing to rank, both tables stay empty
-        theta = np.zeros(spec.synth.dim)
-        eta = _resolve_step_size(cfg, data)
-        for it in range(1, cfg.max_iters + 1):
-            batch = SampleBatch(features @ theta, data.labels, data.group_ids)
+        prune = replace(cfg.grad_opts, prune_trivial_negatives=True)
+        no_prune = replace(cfg.grad_opts, prune_trivial_negatives=False)
+        run = replace(cfg, grad_opts=prune, stop_at_zero_loss=False, record_weights=True)
+        _, trace = train(LinearModel(np.zeros(spec.synth.dim)), data, run)
+        for it, theta in enumerate(trace.thetas, 1):
+            batch = SampleBatch(data.features @ theta, data.labels, data.group_ids)
             t0 = time.perf_counter_ns()
-            pruned_res = grad_accelerated(
-                batch, cfg.step_cfg, replace(cfg.grad_opts, prune_trivial_negatives=True)
-            )
+            pruned_res = grad_accelerated(batch, cfg.step_cfg, prune)
             t1 = time.perf_counter_ns()
-            full_res = grad_accelerated(
-                batch, cfg.step_cfg, replace(cfg.grad_opts, prune_trivial_negatives=False)
-            )
+            full_res = grad_accelerated(batch, cfg.step_cfg, no_prune)
             t2 = time.perf_counter_ns()
             timeline.append(
                 (
@@ -508,19 +508,17 @@ def bench_acceleration(spec: ExperimentSpec, write: bool = True) -> BenchResult:
                     abs(pruned_res.loss - full_res.loss),
                 )
             )
-            theta -= eta * (features.T @ pruned_res.grad)
 
         grid = spec.negatives_grid or (1000, 2000, 4000, 8000, 16000)
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(child_seed(spec.synth.seed, 999)))
         )
         n_pos = spec.synth.positives
-        opts = replace(cfg.grad_opts, prune_trivial_negatives=False)
         for n_neg in grid:
             labels = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, np.int64)])
             batch = SampleBatch(rng.standard_normal(n_pos + n_neg), labels)
             best = min(
-                _timed_ns(lambda: grad_accelerated(batch, cfg.step_cfg, opts)) for _ in range(5)
+                _timed_ns(lambda: grad_accelerated(batch, cfg.step_cfg, no_prune)) for _ in range(5)
             )
             scaling.append((int(n_neg), best))
 
@@ -598,10 +596,8 @@ def default_bench_spec(seed: int = 0, out: str | Path = "runs", iters: int = 100
                 step_size=2.0,
                 max_iters=iters,
                 step_cfg=StepConfig.piecewise(1.0),
-                stop_at_zero_loss=False,
             )
         },
         output_path=out,
         negatives_grid=(4000, 8000, 16000, 32000, 64000),
-        timing=True,
     )

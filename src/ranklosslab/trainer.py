@@ -19,7 +19,7 @@ vector.  Training iterates one of four updates:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,28 +210,27 @@ _UPDATE_RULES = {
 }
 LOSS_KINDS = tuple(_UPDATE_RULES)
 
-
-def _rule_step(kind: str, model: LinearModel, data: RankingDataset, cfg: TrainConfig):
-    scores = data.features @ model.theta
-    pos, neg = partition(data)
-    _, grad, _ = _UPDATE_RULES[kind](scores, pos, neg, cfg)
-    eta = _resolve_step_size(cfg, data)
-    return LinearModel(model.theta - eta * (data.features.T @ grad))
+_ONE_JOINT_ITERATION = dict(max_iters=1, stop_at_zero_loss=False, update_scope="joint")
 
 
 def error_driven_step(model: LinearModel, data: RankingDataset, cfg: TrainConfig) -> LinearModel:
-    """One joint error-driven update of the weights.
+    """One joint error-driven update: one iteration of ``train`` as ``error_driven_ap``.
 
     New weights are theta - eta * features^T g, with g the error-driven
     score gradient under ``cfg.grad_opts`` (the classic convergence
-    argument uses the unnormalized form, ``normalize_by_positives=False``).
+    argument uses the unnormalized form, ``normalize_by_positives=False``)
+    and eta ``cfg.step_size`` (1.0 when None, whatever ``cfg.loss_kind``).
     """
-    return _rule_step("error_driven_ap", model, data, cfg)
+    return train(model, data, replace(cfg, loss_kind="error_driven_ap", **_ONE_JOINT_ITERATION))[0]
 
 
 def inseparable_step(model: LinearModel, data: RankingDataset, cfg: TrainConfig) -> LinearModel:
-    """One joint margin-modified update (step size defaults to delta/R^2)."""
-    return _rule_step("inseparable_ap", model, data, cfg)
+    """One joint margin-modified update: one iteration of ``train`` as ``inseparable_ap``.
+
+    ``cfg.step_cfg`` must be a piecewise ramp of half-width delta; the step
+    is ``cfg.step_size`` (delta / R^2 when None, whatever ``cfg.loss_kind``).
+    """
+    return train(model, data, replace(cfg, loss_kind="inseparable_ap", **_ONE_JOINT_ITERATION))[0]
 
 
 def _finite_scores(features: np.ndarray, theta: np.ndarray, iteration: int, kind: str):
@@ -283,38 +282,42 @@ def train(
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
 
-    for it in range(1, cfg.max_iters + 1):
-        scores = _finite_scores(features, theta, it, cfg.loss_kind)
-        losses = [_ap_loss_core(scores[rows], pos, neg, HEAVISIDE) for rows, pos, neg in batches]
-        chosen = 0
-        if per_group:
-            erring = [k for k, v in enumerate(losses) if v > 0.0]
-            if not erring:
-                if cfg.stop_at_zero_loss:
-                    break
-                erring = list(range(len(gids)))
-            chosen = erring[int(rng.integers(len(erring)))]
-        rows, pos, neg = batches[chosen]
+    # A diverging run overflows; the finiteness checks, not numpy's warnings, report it.
+    with np.errstate(over="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            scores = _finite_scores(features, theta, it, cfg.loss_kind)
+            losses = [
+                _ap_loss_core(scores[rows], pos, neg, HEAVISIDE) for rows, pos, neg in batches
+            ]
+            chosen = 0
+            if per_group:
+                erring = [k for k, v in enumerate(losses) if v > 0.0]
+                if not erring:
+                    if cfg.stop_at_zero_loss:
+                        break
+                    erring = list(range(len(gids)))
+                chosen = erring[int(rng.integers(len(erring)))]
+            rows, pos, neg = batches[chosen]
 
-        t0 = time.perf_counter_ns()
-        surrogate, grad, pruned = rule(scores[rows], pos, neg, cfg)
-        wall = time.perf_counter_ns() - t0 if timing else 0
+            t0 = time.perf_counter_ns()
+            surrogate, grad, pruned = rule(scores[rows], pos, neg, cfg)
+            wall = time.perf_counter_ns() - t0 if timing else 0
 
-        trace.ap_loss.append(float(losses[chosen]))
-        trace.surrogate.append(float(surrogate))
-        trace.wall_ns.append(int(wall))
-        trace.pruned_neg.append(int(pruned))
-        trace.group_id.append(int(gids[chosen]))
-        if cfg.record_weights:
-            trace.thetas.append(theta.copy())
+            trace.ap_loss.append(float(losses[chosen]))
+            trace.surrogate.append(float(surrogate))
+            trace.wall_ns.append(int(wall))
+            trace.pruned_neg.append(int(pruned))
+            trace.group_id.append(int(gids[chosen]))
+            if cfg.record_weights:
+                trace.thetas.append(theta.copy())
 
-        # Only a joint batch can reach here at zero loss with stopping on:
-        # it records the zero-loss row, then stops.
-        if cfg.stop_at_zero_loss and losses[chosen] == 0.0:
-            break
-        theta -= eta * (features[rows].T @ grad)
+            # Only a joint batch can reach here at zero loss with stopping on:
+            # it records the zero-loss row, then stops.
+            if cfg.stop_at_zero_loss and losses[chosen] == 0.0:
+                break
+            theta -= eta * (features[rows].T @ grad)
 
-    final_scores = _finite_scores(features, theta, it + 1, cfg.loss_kind)
+        final_scores = _finite_scores(features, theta, it + 1, cfg.loss_kind)
     trace.final_joint_ap_loss = _ap_loss_core(final_scores, joint_pos, joint_neg, HEAVISIDE)
     return LinearModel(theta), trace
 

@@ -148,7 +148,6 @@ class TestTrainCommand:
         assert (out_dir / "results.csv").exists()
         assert "final_ap_loss=0" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_arm_keeps_the_finished_arms(self, tmp_path, capsys):
         arms = """
 synth: {dim: 5, positives: 5, negatives: 40, margin: 0.2, noise_sigma: 1.0, seed: 0}

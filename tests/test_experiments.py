@@ -7,16 +7,19 @@ import pytest
 from ranklosslab import (
     ExperimentSpec,
     GradOptions,
+    LinearModel,
     StepConfig,
     SynthConfig,
     TrainConfig,
     bench_acceleration,
+    generate,
     run_bounds,
     run_counterexample,
     run_experiment,
     run_gradcheck,
     surrogate_domination_slack,
     thread_count,
+    train,
 )
 from ranklosslab.experiments import (
     RESULT_HEADER,
@@ -92,6 +95,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_spec(tmp_path, reps=0)
 
+    def test_train_key_must_be_its_loss_kind(self, tmp_path):
+        # Output files are named by the key, so a mismatch would write the
+        # error-driven run as an "auc" row and trace.
+        cfg = TrainConfig(loss_kind="error_driven_ap")
+        with pytest.raises(ValueError, match="'auc'.*'error_driven_ap'"):
+            replace(small_spec(tmp_path), train={"auc": cfg})
+
 
 class TestThreadCount:
     def test_env_override(self, monkeypatch):
@@ -163,6 +173,17 @@ class TestBench:
         assert max(r[5] for r in result.timeline) <= 1e-12  # loss diff
         assert (tmp_path / "bench_timeline.csv").exists()
         assert (tmp_path / "bench_scaling.csv").exists()
+
+    def test_times_the_trajectory_train_takes(self):
+        spec = replace(
+            default_bench_spec(seed=0, iters=40),
+            synth=SynthConfig(dim=6, positives=8, negatives=1500, margin=0.5, seed=0),
+        )
+        result = bench_acceleration(spec, write=False)
+        cfg = replace(spec.train["error_driven_ap"], stop_at_zero_loss=False)
+        _, trace = train(LinearModel(np.zeros(6)), generate(spec.synth), cfg)
+        assert [row[3] for row in result.timeline] == trace.pruned_neg
+        assert len(set(trace.pruned_neg)) > 2  # the trajectory moves the pruned count
 
     def test_empty_dataset_yields_empty_tables(self, tmp_path):
         spec = replace(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,15 @@ class TestErrorDrivenStep:
         new = error_driven_step(LinearModel(theta), data, cfg)
         _, grad = grad_bruteforce(SampleBatch(data.features @ theta, data.labels))
         np.testing.assert_allclose(new.theta, theta - 0.3 * (data.features.T @ grad), rtol=1e-12)
+
+    def test_step_follows_the_rule_not_cfg_loss_kind(self):
+        # An inseparable config without a step size still steps by 1.0 here.
+        data = generate(SynthConfig(dim=5, positives=5, negatives=40, margin=-0.5, seed=0))
+        model = LinearModel(np.linspace(-1, 1, 5))
+        cfg = TrainConfig(loss_kind="inseparable_ap", step_cfg=StepConfig.piecewise(1.0))
+        expected = error_driven_step(model, data, replace(cfg, loss_kind="error_driven_ap"))
+        np.testing.assert_array_equal(error_driven_step(model, data, cfg).theta, expected.theta)
+        assert not np.array_equal(expected.theta, model.theta)
 
 
 class TestTrainConvergence:
@@ -214,6 +225,26 @@ class TestInseparableStep:
         )
         new = inseparable_step(LinearModel(np.zeros(2)), data, cfg)
         np.testing.assert_allclose(new.theta, [0.25, -0.25], rtol=1e-12)
+
+    def test_default_loss_kind_steps_by_delta_over_r_squared(self):
+        # On this overlapping instance delta / R^2 is about 5.1e-4, far from 1.0.
+        data = generate(SynthConfig(dim=5, positives=5, negatives=40, margin=-0.5, seed=0))
+        model = LinearModel(np.linspace(-1, 1, 5))
+        ramp = StepConfig.piecewise(1.0)
+        new = inseparable_step(model, data, TrainConfig(step_cfg=ramp))
+        same = inseparable_step(model, data, TrainConfig(loss_kind="inseparable_ap", step_cfg=ramp))
+        np.testing.assert_array_equal(new.theta, same.theta)
+        pos, neg = partition(data)
+        _, grad = trainer_module._inseparable_grad(data.features @ model.theta, pos, neg, 1.0)
+        eta = 1.0 / jacobian_norm_bound(data) ** 2
+        np.testing.assert_allclose(
+            new.theta, model.theta - eta * (data.features.T @ grad), rtol=1e-12
+        )
+
+    def test_heaviside_config_is_refused(self):
+        data = RankingDataset(np.eye(2), np.array([1, 0]))
+        with pytest.raises(ValueError, match="piecewise"):
+            inseparable_step(LinearModel(np.zeros(2)), data, TrainConfig(step_size=1.0))
 
     def test_matches_error_driven_outside_transition_band(self):
         # When every pairwise difference clears the ramp band the soft and
