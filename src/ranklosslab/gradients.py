@@ -10,10 +10,15 @@ gradient.  Three routes compute it:
 * ``grad_reference``  -- a dense vectorized implementation that also
   supports the interpolated (monotone-precision) variant; oracle for the
   accelerated path's interpolation mode.
-* ``grad_accelerated`` -- the production path: loops over positives in
-  ascending score order, keeps only one pairwise row alive at a time, and
-  optionally drops trivial negatives (those scoring so far below every
-  positive that their activation is exactly zero).
+* ``grad_accelerated`` -- the production path, which optionally drops
+  trivial negatives (those scoring so far below every positive that their
+  activation is exactly zero).  For the hard step and the ramp it sorts
+  the negatives once: against each positive, the terms outside the
+  step's transition band are exactly 0 or 1 and are only counted, and
+  the band terms are evaluated on the actual differences, so a call
+  costs O(n log n) plus the band pairs.  The sigmoid, whose transition
+  has no bounded width, walks the positives in ascending score order with
+  one pairwise row alive at a time.
 """
 
 from __future__ import annotations
@@ -40,9 +45,11 @@ class GradOptions:
 
     ``interpolated`` rescales each positive's pairwise terms so precision
     is non-decreasing along ascending positive scores.  Pruning drops
-    negatives whose activation is exactly zero against every positive; it
-    never changes the result for step kinds with bounded support and is a
-    no-op for the sigmoid, whose trivial set is empty.
+    negatives whose activation is exactly zero against every positive.
+    For the bounded-support steps it changes the result by rounding at
+    most: a dropped negative can still sit in the lowest positive's band
+    (with a zero term), and a different band size can regroup the sums.
+    It is a no-op for the sigmoid, whose trivial set is empty.
     """
 
     interpolated: bool = False
@@ -165,6 +172,133 @@ def _trivial_negative_mask(
     return diff >= 0.0
 
 
+# Band pairs handed to one ``step_value`` call on the sorted-band path:
+# temporaries stay near one row's worth even when every pair is in a band.
+_BAND_CHUNK = 1 << 12
+
+
+def _band_chunks(sorted_scores, s, lo, hi, cfg):
+    """Yield (start, stop, rows, cols, f) over consecutive row ranges that
+    cover every row, about ``_BAND_CHUNK`` band pairs at a time.
+
+    f = step(sorted_scores[cols] - s[row]) for each pair, the floats the
+    oracles compute.  A band that fills a chunk alone comes as a slice
+    with ``rows`` None; otherwise ``rows`` holds each pair's row offset
+    from ``start``.
+    """
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    start = 0
+    while start < s.shape[0]:
+        stop = max(start + 1, int(ends.searchsorted(starts[start] + _BAND_CHUNK, side="right")))
+        if stop == start + 1:
+            rows, cols = None, slice(lo[start], hi[start])
+            x = sorted_scores[cols] - s[start]
+        else:
+            rows = np.repeat(np.arange(stop - start), sizes[start:stop])
+            shift = lo[start:stop] - starts[start:stop] + starts[start]
+            cols = np.arange(rows.shape[0]) + shift[rows]
+            x = sorted_scores[cols] - s[start:stop][rows]
+        yield start, stop, rows, cols, step_value(x, cfg)
+        start = stop
+
+
+def _row_sums(start, stop, rows, f):
+    return f.sum() if rows is None else np.bincount(rows, weights=f, minlength=stop - start)
+
+
+def _sorted_band_core(s_pos, s_neg, cfg, interpolated):
+    """The bounded-support steps by one sort of the negatives.
+
+    ``s_pos`` is ascending.  Each positive's band holds the scores within
+    the step's half-width (0 for the Heaviside) plus a few ulps; every
+    term outside it is exactly 0 below and exactly 1 above, so it is only
+    counted, and the band terms are evaluated on the actual differences.
+    Returns the loss, the per-positive contributions, the negatives'
+    gradient in ``s_neg`` order and the precisions, all unnormalized.
+    """
+    p, m = s_pos.shape[0], s_neg.shape[0]
+    h = cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
+    # The few ulps cover the rounding of s_i -+ width.  np.spacing of the
+    # largest double is inf: such a band takes in every score.
+    with np.errstate(over="ignore"):
+        width = h + 4.0 * np.spacing(np.minimum(np.abs(s_pos) + h, np.finfo(np.float64).max))
+        below, above = s_pos - width, s_pos + width
+    neg_order = np.argsort(s_neg)  # tied negatives share every value, so any order will do
+    t = s_neg[neg_order]
+
+    # Rank denominators less the negatives: the row's own sample is in its
+    # band with the term step(0).
+    lo, hi = s_pos.searchsorted(below, "left"), s_pos.searchsorted(above, "right")
+    others = (p - hi) - step_value(0.0, cfg)
+    for start, stop, rows, _, f in _band_chunks(s_pos, s_pos, lo, hi, cfg):
+        others[start:stop] += _row_sums(start, stop, rows, f)
+
+    # The row loop, a chunk of rows at a time: sums, precisions and the
+    # band's share of the negatives' gradient.
+    lo, hi = t.searchsorted(below, "left"), t.searchsorted(above, "right")
+    num = (m - hi).astype(np.float64)
+    w, contrib, precs = np.empty(p), np.empty(p), np.empty(p)
+    band_grad = np.zeros(m)
+    max_prec = 0.0
+    for start, stop, rows, cols, f in _band_chunks(t, s_pos, lo, hi, cfg):
+        chunk = slice(start, stop)
+        num[chunk] += _row_sums(start, stop, rows, f)
+        denom = 1.0 + others[chunk] + num[chunk]
+        frac = num[chunk] / denom
+        prec = 1.0 - frac
+        scale = np.ones(stop - start)
+        if interpolated:
+            best = np.maximum(np.maximum.accumulate(prec), max_prec)
+            low = prec < best
+            scale[low] = (1.0 - best[low]) / (1.0 - prec[low])
+            prec[low] = best[low]
+            max_prec = best[-1]
+        w[chunk] = scale / denom
+        contrib[chunk] = frac * scale
+        precs[chunk] = prec
+        if rows is None:
+            band_grad[cols] += f * w[start]
+        elif rows.shape[0]:
+            first, last = lo[chunk].min(), hi[chunk].max()
+            band_grad[first:last] += np.bincount(
+                cols - first, weights=f * w[chunk][rows], minlength=last - first
+            )
+    # Above its band each positive adds w_i to every negative: a difference
+    # array over the sorted negatives, summed once.
+    g = np.bincount(hi, weights=w, minlength=m + 1).cumsum()[:-1] + band_grad
+    neg_grad = np.empty(m)
+    neg_grad[neg_order] = g
+    return float(contrib.sum()), contrib, neg_grad, precs
+
+
+def _row_loop_core(scores, pos, order, kept_neg, cfg, interpolated):
+    """One pairwise row per positive, visited in ``order``; any step kind."""
+    p = pos.shape[0]
+    s_sub = scores[np.concatenate([pos, kept_neg])]
+    neg_grad = np.zeros(kept_neg.shape[0])
+    max_prec = 0.0
+    loss = 0.0
+    contrib = np.empty(p)
+    precs = np.empty(p)
+    for rank, a in enumerate(order):
+        f = step_value(s_sub - s_sub[a], cfg)
+        denom = 1.0 + f.sum() - f[a]
+        row = f[p:] / denom
+        prec = 1.0 - row.sum()
+        if prec >= max_prec:
+            max_prec = prec
+        elif interpolated:
+            row = row * ((1.0 - max_prec) / (1.0 - prec))
+            prec = max_prec
+        precs[rank] = prec
+        contrib[rank] = row.sum()
+        loss += contrib[rank]
+        neg_grad += row
+    return loss, contrib, neg_grad, precs
+
+
 def _accelerated_core(
     scores: np.ndarray,
     pos: np.ndarray,
@@ -172,7 +306,7 @@ def _accelerated_core(
     cfg: StepConfig,
     opts: GradOptions,
 ) -> GradResult:
-    """Row-at-a-time gradient on raw arrays (shared hot path)."""
+    """Accelerated gradient on raw arrays (shared hot path)."""
     grad = np.zeros(scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
@@ -183,27 +317,17 @@ def _accelerated_core(
         kept_neg = neg
     pruned = int(neg.shape[0] - kept_neg.shape[0])
 
-    sub = np.concatenate([pos, kept_neg])
-    s_sub = scores[sub]
-    neg_grad = np.zeros(kept_neg.shape[0])
-    max_prec = 0.0
-    loss = 0.0
-    precs = np.empty(p)
-    for rank, a in enumerate(_positive_order(scores, pos)):
-        f = step_value(s_sub - scores[pos[a]], cfg)
-        denom = 1.0 + f.sum() - f[a]
-        row = f[p:] / denom
-        prec = 1.0 - row.sum()
-        if prec >= max_prec:
-            max_prec = prec
-        elif opts.interpolated:
-            row = row * ((1.0 - max_prec) / (1.0 - prec))
-            prec = max_prec
-        precs[rank] = prec
-        contribution = row.sum()
-        loss += contribution
-        grad[pos[a]] -= contribution
-        neg_grad += row
+    order = _positive_order(scores, pos)
+    pos_sorted = pos[order]
+    if cfg.kind == SIGMOID_KIND:
+        loss, contrib, neg_grad, precs = _row_loop_core(
+            scores, pos, order, kept_neg, cfg, opts.interpolated
+        )
+    else:
+        loss, contrib, neg_grad, precs = _sorted_band_core(
+            scores[pos_sorted], scores[kept_neg], cfg, opts.interpolated
+        )
+    grad[pos_sorted] -= contrib
     grad[kept_neg] = neg_grad
     loss /= p
     if opts.normalize_by_positives:
@@ -216,14 +340,17 @@ def grad_accelerated(
     cfg: StepConfig = HEAVISIDE,
     opts: GradOptions = GradOptions(),
 ) -> GradResult:
-    """Row-at-a-time gradient with trivial-negative pruning.
+    """Accelerated gradient with trivial-negative pruning.
 
-    Memory stays linear in the batch: for each positive (visited in
-    ascending score order) one row of pairwise differences against the
-    positives and surviving negatives is computed, consumed, and dropped.
-    With interpolation off the output matches ``grad_bruteforce``; with it
-    on, each row whose precision falls below the running maximum is
-    rescaled so recorded precisions never decrease.
+    Memory stays linear in the batch.  For the hard step and the ramp the
+    surviving negatives are sorted once; each positive's sums and terms
+    are counts outside its transition band plus the band's own terms,
+    evaluated a bounded chunk of pairs at a time.  For the sigmoid, one
+    row of pairwise differences per positive (visited in ascending score
+    order) is computed, consumed, and dropped.  With interpolation off
+    the output matches ``grad_bruteforce`` up to rounding; with it on,
+    each row whose precision falls below the running maximum is rescaled
+    so recorded precisions never decrease.
     """
     pos, neg = partition(batch)
     return _accelerated_core(batch.scores, pos, neg, cfg, opts)

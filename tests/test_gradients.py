@@ -79,6 +79,24 @@ class TestAcceleratedEquivalence:
             np.testing.assert_allclose(res.grad, ref.grad, rtol=1e-9, atol=1e-15)
 
 
+class TestSortedBand:
+    @pytest.mark.parametrize("cfg", ALL_KINDS[:3], ids=lambda c: f"{c.kind}-{c.delta}")
+    @pytest.mark.parametrize("n_neg", [1500, 6000])
+    def test_bands_over_many_chunks_match_the_oracle(self, cfg, n_neg):
+        # Scores on a coarse grid give the hard step wide tied bands too;
+        # 1,500 negatives put several bands in a chunk, 6,000 one band.
+        rng = np.random.default_rng(9)
+        scores = np.round(rng.standard_normal(12 + n_neg) * 4.0) / 4.0
+        labels = np.concatenate([np.ones(12, np.int64), np.zeros(n_neg, np.int64)])
+        b = SampleBatch(scores, labels)
+        for interpolated in (False, True):
+            ref = grad_reference(b, cfg, interpolated=interpolated)
+            res = grad_accelerated(b, cfg, GradOptions(interpolated=interpolated))
+            np.testing.assert_allclose(res.loss, ref.loss, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(res.grad, ref.grad, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(res.precisions, ref.precisions, rtol=1e-9, atol=0.0)
+
+
 class TestPruning:
     def test_all_negatives_trivial(self):
         # With ramp half-width 1, negatives at 1 and 2 sit at or below the

@@ -2,11 +2,15 @@
 
 Scores are quantised to quarter steps on a short range, so exact ties
 between positives, between negatives and across the two classes are
-common; labels include ignored samples (-1).  The rank-view batches also
-draw +-0.0 and scores near +-1e308, whose differences overflow to +-inf.
+common; labels include ignored samples (-1).  The rank-view and band-path
+batches also draw +-0.0 and scores near +-1e308, whose differences
+overflow to +-inf, and the band path also runs on quarter ticks offset
+by 1e6, where a score's ulp is 1.2e-10.
 Runs are derandomized and keep no example database, so every run draws
 the same examples.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,11 +27,13 @@ from ranklosslab import (
     ap_loss,
     grad_accelerated,
     grad_bruteforce,
+    grad_reference,
     partition,
     ramp_integral,
     step_value,
     surrogate_loss,
 )
+from ranklosslab import gradients
 from ranklosslab._pairwise import column_counts, diff_block, diffs, rank_counts
 from ranklosslab.trainer import _inseparable_grad
 
@@ -174,3 +180,93 @@ def test_inseparable_update_and_surrogate_keep_the_dense_bits(batch, u, delta):
     assert_same_bits(value, surrogate)
     assert_same_bits(update, grad)
     assert_same_bits(surrogate_loss(u, data, theta_hat, delta), at_u)
+
+
+# The accelerated path's sorted band: the hard step and the ramp count the
+# terms outside each positive's transition band and evaluate the rest.
+BOUNDED_STEPS = (
+    StepConfig.heaviside(),
+    StepConfig.piecewise(0.5),
+    StepConfig.piecewise(1.0),
+    StepConfig.piecewise(2.0),
+)
+
+
+@st.composite
+def offset_batches(draw):
+    batch = draw(batches())
+    return SampleBatch(batch.scores + 1e6, batch.labels)
+
+
+BATCH_KINDS = {"ticks": batches(), "extremes": extreme_batches(), "offset": offset_batches()}
+# The default chunk, and one so small that a drawn batch spans many chunks,
+# several of them a single band.
+CHUNKS = (gradients._BAND_CHUNK, 3)
+
+
+def assert_matches_the_oracles(batch, step, interpolated, prune):
+    """Within 1e-9 of ``grad_reference`` (and of ``grad_bruteforce`` without
+    interpolation), and exactly zero wherever the oracle is."""
+    res = grad_accelerated(
+        batch, step, GradOptions(interpolated=interpolated, prune_trivial_negatives=prune)
+    )
+    ref = grad_reference(batch, step, interpolated=interpolated)
+    oracles = [(ref.loss, ref.grad)]
+    if not interpolated:
+        oracles.append(grad_bruteforce(batch, step))
+    for loss, grad in oracles:
+        np.testing.assert_allclose(res.loss, loss, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(res.grad, grad, rtol=1e-9, atol=0.0)
+        np.testing.assert_array_equal(res.grad == 0.0, grad == 0.0)
+    np.testing.assert_allclose(res.precisions, ref.precisions, rtol=1e-9, atol=0.0)
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@PROPERTY
+@given(
+    st.data(), st.sampled_from(BOUNDED_STEPS), st.booleans(), st.booleans(), st.sampled_from(CHUNKS)
+)
+def test_band_path_matches_the_oracles(kind, data, step, interpolated, prune, chunk):
+    with mock.patch.object(gradients, "_BAND_CHUNK", chunk):
+        assert_matches_the_oracles(data.draw(BATCH_KINDS[kind]), step, interpolated, prune)
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@PROPERTY
+@given(st.data(), st.sampled_from(BOUNDED_STEPS), st.booleans())
+def test_pruning_moves_the_band_path_by_rounding_only(kind, data, step, interpolated):
+    batch = data.draw(BATCH_KINDS[kind])
+    on, off = (
+        grad_accelerated(batch, step, GradOptions(interpolated, prune_trivial_negatives=prune))
+        for prune in (True, False)
+    )
+    np.testing.assert_allclose(on.loss, off.loss, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(on.grad, off.grad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("step", BOUNDED_STEPS, ids=lambda c: f"{c.kind}-{c.delta}")
+def test_band_edges_at_and_within_ulps_of_the_half_width(step):
+    # Negatives at s_i - h, s_i and s_i + h (h = delta for the ramp, 0 for
+    # the Heaviside) and up to 6 ulps either side, around positives of
+    # several magnitudes.  A band an ulp too narrow would count a term as
+    # exactly 0 or 1 where the oracle's difference gives another value.
+    h = step.delta if step.kind == "piecewise" else 0.0
+    positives = np.array([0.25, 0.3, -7.7, 1e6 + 0.1, 3.0e15])
+    negatives = []
+    for s in positives:
+        for edge in (s - h, s, s + h):
+            x = edge
+            for _ in range(6):
+                x = np.nextafter(x, -np.inf)
+            for _ in range(13):
+                negatives.append(x)
+                x = np.nextafter(x, np.inf)
+    scores = np.concatenate([positives, negatives])
+    labels = np.repeat([1, 0], [positives.shape[0], len(negatives)])
+    batch = SampleBatch(scores, labels)
+    assert (grad_reference(batch, step).grad == 0.0).any()  # exact zeros to keep
+    for interpolated in (False, True):
+        for prune in (False, True):
+            assert_matches_the_oracles(batch, step, interpolated, prune)
