@@ -4,10 +4,10 @@ Row i belongs to positive ``pos[i]``.  Columns run over the positives
 first, then the negatives, so row i's own column is column i; the rank
 denominator 1 + sum_{k != i} step(s_k - s_i) excludes exactly that
 column.  The soft-step (ramp, sigmoid) losses, updates and baselines,
-the gradient oracles and ``primary_terms`` build their block here so that
-this layout is decided in one place; the AUC-style loss and the
-ramp-integral sums need no denominator and take ``diff_block`` over the
-negatives alone.
+the gradient oracles and ``primary_terms`` take this layout from here
+(``columns``, ``diffs``) so that it is decided in one place; the
+AUC-style loss and the ramp-integral sums need no denominator and take
+``diff_block`` over the negatives alone.
 
 Under the Heaviside every such sum is an integer count, and the rank view
 (``rank_counts`` and ``column_counts``) reads it off each class's sorted
@@ -24,9 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def columns(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The block's column order: the positives, then the negatives."""
+    return np.concatenate([pos, neg])
+
+
 def diffs(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
     """Block of s_j - s_i: one row per positive i, columns over pos then neg."""
-    return diff_block(scores, pos, np.concatenate([pos, neg]))
+    return diff_block(scores, pos, columns(pos, neg))
 
 
 def diff_block(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -5,6 +5,15 @@ replaced by a sigmoid, optimized by true gradient descent, optionally in
 log space), the AUC-style error-driven gradient, and the two classic
 activations -- softmax and the margin step -- for which the error-driven
 update collapses to the gradients of cross-entropy and hinge loss.
+
+The smoothed baseline builds one P x n sigmoid block from separable
+exponentials: exp((s_i - s_j)/k) = exp((s_i - c)/k) * exp(-(s_j - c)/k),
+with c the mid-range of the valid scores, so the block costs P + n ``exp``
+calls and one outer product.  The sigmoid's derivative and the quotient
+rule's sums come from the same block, the column sums as two
+matrix-vector products.  Past a score span (max - min)/k of 700 the block's
+largest entry would near the double range (DBL_MAX is exp(709.78)), and
+the dense difference block, one bounded ``exp`` per pair, takes over.
 """
 
 from __future__ import annotations
@@ -46,38 +55,84 @@ class SmoothedApConfig:
         return StepConfig.sigmoid(self.k)
 
 
+# Largest (max - min)/k taken by the separable block, whose largest entry
+# is exp((max - min)/k): DBL_MAX is exp(709.78), and 700 leaves room for the
+# rounding of the centre and of the two exp factors.
+_SEPARABLE_SPAN = 700.0
+
+
 def _smoothed_core(
     scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: SmoothedApConfig
 ) -> tuple[float, np.ndarray]:
     grad = np.zeros(scores.shape[0])
-    p, q = pos.shape[0], neg.shape[0]
-    if p == 0 or q == 0:
+    p = pos.shape[0]
+    if p == 0 or neg.shape[0] == 0:
         return 0.0, grad
-    sig = step_value(_pairwise.diffs(scores, pos, neg), cfg.step)
-    dsig = sig * (1.0 - sig) / cfg.k
-    num = sig[:, p:].sum(axis=1)
-    denom = _pairwise.rank_denominators(sig)
-    value = float((num / denom).sum() / p)
-
-    # d(value)/d(score_m): quotient rule split into the per-column part
-    # (m appears as column j or k of row i) and the per-row part (m is the
-    # row's own positive, entering every difference with opposite sign).
-    w_num = 1.0 / (p * denom)
-    w_den = num / (p * denom * denom)
-    col = dsig * (-w_den[:, None])
-    col[:, p:] += dsig[:, p:] * w_num[:, None]
-    np.fill_diagonal(col, 0.0)
-    col_sums = col.sum(axis=0)
-    dsig_neg = dsig[:, p:].sum(axis=1)
-    dsig_other = dsig.sum(axis=1) - dsig.diagonal()
-    grad[pos] += col_sums[:p] + (-w_num * dsig_neg + w_den * dsig_other)
-    grad[neg] += col_sums[p:]
-
+    cols = _pairwise.columns(pos, neg)
+    s = scores[cols]
+    # Only valid scores set the span and the centre, so ignored samples
+    # change no bit of the result.
+    lo, hi = float(s.min()), float(s.max())
+    if (hi - lo) / cfg.k > _SEPARABLE_SPAN:
+        value, grad[cols] = _smoothed_direct(s, p, cfg)
+    else:
+        value, grad[cols] = _smoothed_separable(s, p, lo + 0.5 * (hi - lo), cfg.k)
     if cfg.log_space:
         # Minimizing -log(1 - value + eps) maximizes log(smoothed AP + eps).
         scale = 1.0 / (1.0 - value + cfg.epsilon)
         return float(-np.log(1.0 - value + cfg.epsilon)), grad * scale
     return value, grad
+
+
+def _smoothed_separable(s: np.ndarray, p: int, c: float, k: float) -> tuple[float, np.ndarray]:
+    """Smoothed AP value and gradient over the block's column scores ``s``
+    (the ``p`` positives first), from P + n exponentials centred at ``c``."""
+    z = (s - c) / k
+    # t[i, j] = exp((s_i - s_j)/k), and sigmoid((s_j - s_i)/k) = 1/(1 + t).
+    t = np.multiply.outer(np.exp(z[:p]), np.exp(-z))
+    sig = t + 1.0
+    np.divide(1.0, sig, out=sig)
+    # A row's own column enters no sum; zeroing it here zeroes it in t below.
+    np.fill_diagonal(sig, 0.0)
+    num = sig[:, p:].sum(axis=1)
+    denom = 1.0 + num + sig[:, :p].sum(axis=1)
+    # k * sigmoid' = t * sig^2, with no 1 - sig cancellation; (t * sig) * sig
+    # stays normal where sig^2 would underflow.
+    t *= sig
+    t *= sig
+    value = float((num / denom).sum() / p)
+
+    # d(value)/d(s_m): the quotient rule splits into a per-column part (m
+    # is column j or k of row i) and a per-row part (m is the row's own
+    # positive, entering every difference with opposite sign).
+    w_num = 1.0 / (p * denom)
+    w_den = num / (p * denom * denom)
+    g = np.empty(s.shape[0])
+    g[:p] = w_den * t.sum(axis=1) - w_num * t[:, p:].sum(axis=1) - w_den @ t[:, :p]
+    g[p:] = (w_num - w_den) @ t[:, p:]
+    g /= k
+    return value, g
+
+
+def _smoothed_direct(s: np.ndarray, p: int, cfg: SmoothedApConfig) -> tuple[float, np.ndarray]:
+    """``_smoothed_separable``'s result from the dense difference block: one
+    exponential per pair, each at most 1 whatever the score span."""
+    sig = step_value(s[None, :] - s[:p, None], cfg.step)
+    dsig = sig * (1.0 - sig) / cfg.k
+    num = sig[:, p:].sum(axis=1)
+    denom = _pairwise.rank_denominators(sig)
+    value = float((num / denom).sum() / p)
+
+    w_num = 1.0 / (p * denom)
+    w_den = num / (p * denom * denom)
+    col = dsig * (-w_den[:, None])
+    col[:, p:] += dsig[:, p:] * w_num[:, None]
+    np.fill_diagonal(col, 0.0)
+    g = col.sum(axis=0)
+    dsig_neg = dsig[:, p:].sum(axis=1)
+    dsig_other = dsig.sum(axis=1) - dsig.diagonal()
+    g[:p] += -w_num * dsig_neg + w_den * dsig_other
+    return value, g
 
 
 def smoothed_ap_loss_and_grad(
@@ -87,7 +142,12 @@ def smoothed_ap_loss_and_grad(
 
     The hard steps of the pairwise loss are replaced by sigmoids of slope
     scale ``k`` so the objective is differentiable everywhere; the gradient
-    is exact (finite-difference checkable), not error-driven.
+    is exact (finite-difference checkable), not error-driven.  The sigmoid
+    block is the outer product of exp((s_i - c)/k) over the positives and
+    exp(-(s_j - c)/k) over the valid samples, c their mid-range; when the
+    valid scores span more than 700 k, where that product could overflow,
+    each pair's sigmoid is evaluated from its own difference instead.
+    Ignored samples change no bit of the result.
     """
     pos, neg = partition(batch)
     return _smoothed_core(batch.scores, pos, neg, cfg)

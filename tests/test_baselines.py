@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ranklosslab import baselines
 from ranklosslab import (
     SampleBatch,
     SmoothedApConfig,
@@ -60,10 +63,42 @@ class TestSmoothedAp:
 
     def test_ignored_samples_excluded(self):
         cfg = SmoothedApConfig(k=1.0)
-        full = smoothed_ap_loss_and_grad(SampleBatch([1.0, 0.0, 9.0], [1, 0, -1]), cfg)
         trimmed = smoothed_ap_loss_and_grad(SampleBatch([1.0, 0.0], [1, 0]), cfg)
-        assert full[0] == trimmed[0]
-        assert full[1][2] == 0.0
+        # An ignored score far from the rest must not move the centre of
+        # the exponentials either.
+        for ignored in (9.0, 1e4):
+            full = smoothed_ap_loss_and_grad(SampleBatch([1.0, 0.0, ignored], [1, 0, -1]), cfg)
+            assert full[0] == trimmed[0]
+            assert full[1][:2].tobytes() == trimmed[1].tobytes()
+            assert full[1][2] == 0.0
+
+    @pytest.mark.parametrize(
+        "span, separable",
+        [
+            (baselines._SEPARABLE_SPAN * (1 - 1e-9), True),
+            (baselines._SEPARABLE_SPAN * (1 + 1e-9), False),
+            (720.0, False),
+            (4e4, False),
+        ],
+    )
+    def test_score_span_guard(self, span, separable):
+        # (max - min)/k = span, with positives and negatives at both ends, so
+        # the separable block would hold exp(+-span); the last two spans
+        # overflow it, and tier-1 turns the overflow warning into an error.
+        # At k = 0.5 the last span puts the scores at +-1e4.
+        cfg = SmoothedApConfig(k=0.5)
+        half = span * cfg.k / 2
+        scores = np.array([half, -half, 0.3, half, -half, -0.2, 0.1])
+        labels = [1, 1, 1, 0, 0, 0, 0]
+        with mock.patch.object(
+            baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
+        ) as direct:
+            loss, grad = smoothed_ap_loss_and_grad(SampleBatch(scores, labels), cfg)
+        assert direct.called != separable
+        assert np.isfinite(loss) and np.isfinite(grad).all()
+        ref_loss, ref_grad = baselines._smoothed_direct(scores, 3, cfg)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0.0)
+        assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
 
 
 class TestAucGrad:

@@ -1,4 +1,5 @@
-"""Property tests of the accelerated gradient and the hard-step rank view on drawn batches.
+"""Property tests of the accelerated gradient, the hard-step rank view and
+the smoothed-AP baseline on drawn batches.
 
 Scores are quantised to quarter steps on a short range, so exact ties
 between positives, between negatives and across the two classes are
@@ -21,6 +22,7 @@ from ranklosslab import (
     GradOptions,
     RankingDataset,
     SampleBatch,
+    SmoothedApConfig,
     StepConfig,
     auc_grad,
     auc_loss,
@@ -30,10 +32,11 @@ from ranklosslab import (
     grad_reference,
     partition,
     ramp_integral,
+    smoothed_ap_loss_and_grad,
     step_value,
     surrogate_loss,
 )
-from ranklosslab import gradients
+from ranklosslab import baselines, gradients
 from ranklosslab._pairwise import column_counts, diff_block, diffs, rank_counts
 from ranklosslab.trainer import _inseparable_grad
 
@@ -270,3 +273,69 @@ def test_band_edges_at_and_within_ulps_of_the_half_width(step):
     for interpolated in (False, True):
         for prune in (False, True):
             assert_matches_the_oracles(batch, step, interpolated, prune)
+
+
+def smoothed_ap_longdouble(batch, cfg):
+    """The smoothed AP objective and its score gradient in long double,
+    written out densely: sigmoid block, then the quotient rule applied to
+    each row's Jacobians of num_i and denom_i."""
+    labels = batch.labels
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    p, cols = pos.shape[0], np.concatenate([pos, neg])
+    grad = np.zeros(labels.shape[0], np.longdouble)
+    if p == 0 or neg.shape[0] == 0:
+        return np.longdouble(0.0), grad
+    s, k = batch.scores.astype(np.longdouble), np.longdouble(cfg.k)
+    z = (s[cols][None, :] - s[pos][:, None]) / k
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1, e) / (1 + e)
+    dsig = e / (1 + e) ** 2 / k
+    own = np.eye(p, cols.shape[0], dtype=bool)
+    sig[own] = 0
+    dsig[own] = 0
+    is_neg = np.arange(cols.shape[0]) >= p
+    num, denom = (sig * is_neg).sum(axis=1), 1 + sig.sum(axis=1)
+    # Row i's own positive enters every difference of the row with a minus sign.
+    j_num = dsig * is_neg
+    j_num[own] = -j_num.sum(axis=1)
+    j_den = dsig.copy()
+    j_den[own] = -dsig.sum(axis=1)
+    value = (num / denom).sum() / p
+    grad[cols] = (j_num / denom[:, None] - (num / denom**2)[:, None] * j_den).sum(axis=0) / p
+    if cfg.log_space:
+        scale = 1 / (1 - value + np.longdouble(cfg.epsilon))
+        return -np.log(1 - value + np.longdouble(cfg.epsilon)), grad * scale
+    return value, grad
+
+
+@st.composite
+def outlier_batches(draw):
+    """Quarter ticks plus one valid sample at +-720, past the separable span for k <= 1."""
+    batch = draw(batches())
+    outlier = draw(st.sampled_from((720.0, -720.0)))
+    label = draw(st.sampled_from((1, 0)))
+    return SampleBatch(np.append(batch.scores, outlier), np.append(batch.labels, label))
+
+
+SMOOTHED_KINDS = {"ticks": batches(), "offset": offset_batches(), "outlier": outlier_batches()}
+SMOOTHED_CFGS = tuple(
+    SmoothedApConfig(k=k, log_space=log_space) for k in (0.25, 0.5, 1.0) for log_space in (False, True)
+)
+
+
+@pytest.mark.parametrize("kind", SMOOTHED_KINDS)
+@PROPERTY
+@given(st.data(), st.sampled_from(SMOOTHED_CFGS))
+def test_smoothed_ap_matches_the_long_double_definition(kind, data, cfg):
+    # Within 1e-9 of the largest reference entry; exact zeros are not
+    # required to match, as the direct form rounds gradients of 1e-20 to 0.
+    batch = data.draw(SMOOTHED_KINDS[kind])
+    with mock.patch.object(
+        baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
+    ) as direct:
+        loss, grad = smoothed_ap_loss_and_grad(batch, cfg)
+    both_classes = (batch.labels == 1).any() and (batch.labels == 0).any()
+    assert direct.called == (kind == "outlier" and both_classes)
+    ref_loss, ref_grad = smoothed_ap_longdouble(batch, cfg)
+    assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss) + 1e-15
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
