@@ -16,6 +16,7 @@ any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class SynthConfig:
             raise ValueError("sample counts must be non-negative")
         if self.groups < 1:
             raise ValueError("groups must be at least 1")
+        for name in ("margin", "noise_sigma", "score_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
 
@@ -81,32 +85,24 @@ def generate(cfg: SynthConfig) -> RankingDataset:
     neg_counts = _split_counts(cfg.negatives, cfg.groups)
 
     separable = cfg.margin >= 0
-    blocks, labels, gids = [], [], []
+    n = cfg.positives + cfg.negatives
+    features = np.empty((n, cfg.dim))
+    label_arr = np.zeros(n, dtype=np.int64)
+    gid_arr = np.empty(n, dtype=np.int64)
+    start = 0
     for g in range(cfg.groups):
-        n_g = pos_counts[g] + neg_counts[g]
-        if n_g == 0:
-            continue
-        noise = rng.standard_normal((n_g, cfg.dim)) * cfg.noise_sigma
+        n_pos, stop = pos_counts[g], start + pos_counts[g] + neg_counts[g]
+        block = features[start:stop]
+        rng.standard_normal(out=block)
+        block *= cfg.noise_sigma
         if separable:
-            noise -= np.outer(noise @ u, u)
-        mean = np.where(
-            np.arange(n_g)[:, None] < pos_counts[g],
-            (cfg.margin / 2.0) * u,
-            (-cfg.margin / 2.0) * u,
-        )
-        block = mean + noise + (cfg.score_shift * g) * v
-        blocks.append(block)
-        labels.append(np.concatenate([np.ones(pos_counts[g]), np.zeros(neg_counts[g])]))
-        gids.append(np.full(n_g, g))
-
-    if blocks:
-        features = np.concatenate(blocks)
-        label_arr = np.concatenate(labels).astype(np.int64)
-        gid_arr = np.concatenate(gids).astype(np.int64)
-    else:
-        features = np.empty((0, cfg.dim))
-        label_arr = np.empty(0, dtype=np.int64)
-        gid_arr = np.empty(0, dtype=np.int64)
+            block -= np.outer(block @ u, u)
+        block[:n_pos] += (cfg.margin / 2.0) * u
+        block[n_pos:] += (-cfg.margin / 2.0) * u
+        block += (cfg.score_shift * g) * v
+        label_arr[start : start + n_pos] = 1
+        gid_arr[start:stop] = g
+        start = stop
 
     data = RankingDataset(
         features,

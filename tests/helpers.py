@@ -3,10 +3,17 @@
 These deliberately take different computational routes from the library
 (binary search on sorted scores instead of pairwise matrices, central
 differences instead of analytic gradients) so agreement is evidence of
-correctness rather than repetition.
+correctness rather than repetition.  ``smoothed_chunk_rows`` instead
+shrinks the smoothed-AP block's row chunks, so that small batches run
+through the same chunk loop as large ones.
 """
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
+
+from ranklosslab import baselines
 
 
 def central_diff(fn, x, eps=1e-6):
@@ -71,3 +78,12 @@ def random_batch_arrays(rng, max_n=60, max_pos=10, with_ignored=True, tie_prob=0
     if rng.random() < tie_prob:
         scores = np.round(scores, 1)
     return scores, labels
+
+
+def smoothed_chunk_rows(rows, n_valid):
+    """Make the separable smoothed-AP path take ``rows`` block rows per
+    chunk on a batch of ``n_valid`` valid samples; ``None`` keeps the
+    library's chunk budget."""
+    if rows is None:
+        return nullcontext()
+    return mock.patch.object(baselines, "_SMOOTHED_CHUNK", rows * n_valid)

@@ -12,7 +12,7 @@ from ranklosslab import (
     smoothed_ap_loss_and_grad,
     softmax_error_driven,
 )
-from helpers import central_diff, random_batch_arrays
+from helpers import central_diff, random_batch_arrays, smoothed_chunk_rows
 
 
 class TestSmoothedAp:
@@ -86,19 +86,22 @@ class TestSmoothedAp:
         # the separable block would hold exp(+-span); the last two spans
         # overflow it, and tier-1 turns the overflow warning into an error.
         # At k = 0.5 the last span puts the scores at +-1e4.
+        # Each span also runs in chunks of one row and of two, the second
+        # leaving a partial chunk of the three positives.
         cfg = SmoothedApConfig(k=0.5)
         half = span * cfg.k / 2
         scores = np.array([half, -half, 0.3, half, -half, -0.2, 0.1])
         labels = [1, 1, 1, 0, 0, 0, 0]
-        with mock.patch.object(
-            baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
-        ) as direct:
-            loss, grad = smoothed_ap_loss_and_grad(SampleBatch(scores, labels), cfg)
-        assert direct.called != separable
-        assert np.isfinite(loss) and np.isfinite(grad).all()
         ref_loss, ref_grad = baselines._smoothed_direct(scores, 3, cfg)
-        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0.0)
-        assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+        for rows in (None, 1, 2):
+            with smoothed_chunk_rows(rows, scores.shape[0]), mock.patch.object(
+                baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
+            ) as direct:
+                loss, grad = smoothed_ap_loss_and_grad(SampleBatch(scores, labels), cfg)
+            assert direct.called != separable
+            assert np.isfinite(loss) and np.isfinite(grad).all()
+            np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0.0)
+            assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
 
 
 class TestAucGrad:

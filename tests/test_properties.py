@@ -39,6 +39,7 @@ from ranklosslab import (
 from ranklosslab import baselines, gradients
 from ranklosslab._pairwise import column_counts, diff_block, diffs, rank_counts
 from ranklosslab.trainer import _inseparable_grad
+from helpers import smoothed_chunk_rows
 
 STEPS = (
     StepConfig.heaviside(),
@@ -325,12 +326,14 @@ SMOOTHED_CFGS = tuple(
 
 @pytest.mark.parametrize("kind", SMOOTHED_KINDS)
 @PROPERTY
-@given(st.data(), st.sampled_from(SMOOTHED_CFGS))
-def test_smoothed_ap_matches_the_long_double_definition(kind, data, cfg):
+@given(st.data(), st.sampled_from(SMOOTHED_CFGS), st.sampled_from((None, 1, 3)))
+def test_smoothed_ap_matches_the_long_double_definition(kind, data, cfg, chunk_rows):
     # Within 1e-9 of the largest reference entry; exact zeros are not
     # required to match, as the direct form rounds gradients of 1e-20 to 0.
+    # The separable path also runs in chunks of one and of three block rows.
     batch = data.draw(SMOOTHED_KINDS[kind])
-    with mock.patch.object(
+    n_valid = int((batch.labels >= 0).sum())
+    with smoothed_chunk_rows(chunk_rows, n_valid), mock.patch.object(
         baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
     ) as direct:
         loss, grad = smoothed_ap_loss_and_grad(batch, cfg)

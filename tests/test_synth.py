@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,61 @@ class TestDeterminism:
         cfg = SynthConfig(dim=7, positives=5, negatives=30, margin=0.1, seed=42)
         other = generate(SynthConfig(dim=7, positives=5, negatives=30, margin=0.1, seed=43))
         assert not np.array_equal(generate(cfg).features, other.features)
+
+
+# sha256 of the bytes of features, labels, group ids and separator, as
+# the generator drew them when it concatenated per-group blocks; filling
+# one preallocated array must keep every byte.
+PINNED = {
+    "one_group_5_500": (
+        SynthConfig(dim=20, positives=5, negatives=500, margin=0.1, seed=11),
+        "2be521e352c1806fe86d62fce07c793c10e068498bdbc54be1d722089ed7005b",
+        "9af34fc34fcec4b50c91312095b3632d8d20ca73ab95add9ab50dbd819bc0cbc",
+        "bf45005795ffa8764d42f0a53d8ebc6e2068469ef97f4b0b6310e3d22063185c",
+        "4df7fb47da5485c79efe26dd8417b6eb48a82ecc72f2dbaecdb4f80baead3553",
+    ),
+    "three_groups_shift": (
+        SynthConfig(
+            dim=8, positives=10, negatives=60, groups=3, margin=0.3, score_shift=2.5, seed=12
+        ),
+        "87940e97508b85f93c98f29fb0ee71775c1b59459cb9f90d97b7243c2976d526",
+        "998006c8747e9b703e2dc1649e52207ec2d5bc862c39d45b11d9de4fbba623e5",
+        "e845340683dcd60b72f52e187a5b5f4f4db5018ebb76d67dbd0d02fa23ec8720",
+        "b49fcf862fc77e1f42a1ad7f76f6457550ded93d7821c71b0860611686824e35",
+    ),
+    "negative_margin": (
+        SynthConfig(dim=6, positives=12, negatives=40, margin=-0.5, noise_sigma=1.5, seed=13),
+        "5ca9eaf8dfc6fde6527cc665d5fd4ffa7a6c194a41138854fb9ca2877375675f",
+        "d8ef24c7d71cf96018cdaaabc7259ed7812f9eccb885cca0be26bf42b29b1ed4",
+        "4cc7e6272db6b1ad7581f76c63c694e926e20698e9b02223d5041a55960463f2",
+        None,
+    ),
+    "empty_group": (
+        SynthConfig(dim=4, positives=1, negatives=1, groups=3, margin=0.2, seed=14),
+        "8a247d1cb3aae9efaa5748186a39b7088b7c14108c872b992f286961ad96fffa",
+        "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+        "cb9a7d919324fd37043a1a5996fee49ed8bea856932f1fcdc10a687609fe04a3",
+    ),
+    "dim_1": (
+        SynthConfig(dim=1, positives=3, negatives=9, margin=0.2, seed=15),
+        "566f1b7d1d19a710f55644d86df97fb436963b19a0db8b1dcf4e3aac904b8940",
+        "12ffb2763fb051ee6e7bead9fcc7097b7793284dfa4da8a15e734df9e5335401",
+        "2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4",
+        "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_generate_keeps_its_pinned_bytes(name):
+    cfg, *digests = PINNED[name]
+    data = generate(cfg)
+    assert data.features.dtype == np.float64
+    assert data.labels.dtype == data.group_ids.dtype == np.int64
+    arrays = (data.features, data.labels, data.group_ids, data.separator)
+    got = [None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+    assert got == digests
 
 
 class TestSeparability:
@@ -87,3 +144,7 @@ class TestStructure:
             SynthConfig(groups=0)
         with pytest.raises(ValueError):
             SynthConfig(noise_sigma=-0.1)
+        for field in ("margin", "noise_sigma", "score_shift"):
+            for bad in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                    SynthConfig(**{field: bad})
