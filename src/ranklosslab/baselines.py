@@ -175,18 +175,17 @@ def smoothed_ap_loss_and_grad(
     return _smoothed_core(batch.scores, pos, neg, cfg)
 
 
-def _auc_core(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig
-) -> tuple[float, np.ndarray]:
-    grad = np.zeros(scores.shape[0])
+def _auc_core(view: _pairwise.RankView, cfg: StepConfig) -> tuple[float, np.ndarray]:
+    pos, neg = view.pos, view.neg
+    grad = np.zeros(view.scores.shape[0])
     p, q = pos.shape[0], neg.shape[0]
     if p == 0 or q == 0:
         return 0.0, grad
     if cfg.kind == HEAVISIDE_KIND:
-        rows = _pairwise.rank_counts(scores, pos, neg)[0]
-        cols, total = _pairwise.column_counts(scores, pos, neg), rows.sum()
+        rows = _pairwise.rank_counts(view)[0]
+        cols, total = _pairwise.column_counts(view), rows.sum()
     else:
-        f = _auc_steps(scores, pos, neg, cfg)
+        f = _auc_steps(view.scores, pos, neg, cfg)
         rows, cols, total = f.sum(axis=1), f.sum(axis=0), f.sum()
     scale = 1.0 / (p * q)
     grad[pos] = -rows * scale
@@ -204,7 +203,9 @@ def auc_grad(
     sums to zero exactly.
     """
     pos, neg = partition(batch)
-    return _auc_core(batch.scores, pos, neg, cfg)
+    hard = cfg.kind == HEAVISIDE_KIND
+    view = _pairwise.RankView(batch.scores, pos, neg, 0.0 if hard else None, hard)
+    return _auc_core(view, cfg)
 
 
 def softmax_error_driven(x: np.ndarray, y: int) -> np.ndarray:

@@ -12,13 +12,17 @@ gradient.  Three routes compute it:
   accelerated path's interpolation mode.
 * ``grad_accelerated`` -- the production path, which optionally drops
   trivial negatives (those scoring so far below every positive that their
-  activation is exactly zero).  For the hard step and the ramp it sorts
-  the negatives once: against each positive, the terms outside the
-  step's transition band are exactly 0 or 1 and are only counted, and
-  the band terms are evaluated on the actual differences, so a call
-  costs O(n log n) plus the band pairs.  The sigmoid, whose transition
-  has no bounded width, walks the positives in ascending score order with
-  one pairwise row alive at a time.
+  activation is exactly zero).  It reads the batch's rank view
+  (``_pairwise.RankView``), whose negatives are sorted once for the exact
+  loss and the update alike.  For the hard step and the ramp the view
+  only counts the trivial negatives and sorts the rest; against each
+  positive, the terms outside the step's transition band are exactly 0
+  or 1 and are only counted, the band terms are evaluated on the actual
+  differences, and the negatives' gradient goes back through the view's
+  order in one scatter, so a call costs O(n) plus O(k log k) for the k
+  kept negatives, plus the band pairs.  The sigmoid, whose transition has
+  no bounded width, walks the positives in ascending score order with one
+  pairwise row alive at a time.
 """
 
 from __future__ import annotations
@@ -102,12 +106,6 @@ def grad_bruteforce(
     return float(loss), grad
 
 
-def _positive_order(scores: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    # Stable ascending sort: ties between positives resolve by original
-    # sample index, keeping results deterministic.
-    return np.argsort(scores[pos], kind="stable")
-
-
 def grad_reference(
     batch: SampleBatch,
     cfg: StepConfig = HEAVISIDE,
@@ -128,7 +126,9 @@ def grad_reference(
     f = step_value(_pairwise.diffs(batch.scores, pos, neg), cfg)
     terms = f[:, p:] / _pairwise.rank_denominators(f)[:, None]
 
-    order = _positive_order(batch.scores, pos)
+    # Stable ascending sort: ties between positives resolve by original
+    # sample index, keeping results deterministic.
+    order = np.argsort(batch.scores[pos], kind="stable")
     max_prec = 0.0
     loss = 0.0
     precs = np.empty(p)
@@ -150,26 +150,21 @@ def grad_reference(
     return GradResult(float(loss), grad, 0, precs)
 
 
-def _trivial_negative_mask(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig
-) -> np.ndarray:
-    """Mask of negatives to KEEP (the non-trivial ones).
+def _cut(cfg: StepConfig, opts: GradOptions) -> float | None:
+    """The rank view's cut below which negatives are trivial and pruned.
 
     A negative is trivial when its activation against every positive is
     exactly zero: at or below ``s_min - delta`` for the ramp, strictly
     below the lowest positive score for the hard step (an exact tie still
-    activates).  The comparison runs on the pairwise difference against
-    the lowest positive, the same float the step function would see, so
+    activates).  The view compares the pairwise difference against the
+    lowest positive, the same float the step function would see, so
     pruning never disagrees with an unpruned evaluation by even a
     rounding error.  The sigmoid never vanishes, so nothing is trivial
-    there.
+    there, and without pruning every negative is kept.
     """
-    if cfg.kind == SIGMOID_KIND:
-        return np.ones(neg.shape[0], dtype=bool)
-    diff = scores[neg] - scores[pos].min()
-    if cfg.kind == PIECEWISE_KIND:
-        return diff > -cfg.delta
-    return diff >= 0.0
+    if cfg.kind == SIGMOID_KIND or not opts.prune_trivial_negatives:
+        return None
+    return cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
 
 
 # Band pairs handed to one ``step_value`` call on the sorted-band path:
@@ -208,25 +203,24 @@ def _row_sums(start, stop, rows, f):
     return f.sum() if rows is None else np.bincount(rows, weights=f, minlength=stop - start)
 
 
-def _sorted_band_core(s_pos, s_neg, cfg, interpolated):
-    """The bounded-support steps by one sort of the negatives.
+def _sorted_band_core(s_pos, t, cfg, interpolated):
+    """The bounded-support steps on sorted scores.
 
-    ``s_pos`` is ascending.  Each positive's band holds the scores within
-    the step's half-width (0 for the Heaviside) plus a few ulps; every
-    term outside it is exactly 0 below and exactly 1 above, so it is only
-    counted, and the band terms are evaluated on the actual differences.
-    Returns the loss, the per-positive contributions, the negatives'
-    gradient in ``s_neg`` order and the precisions, all unnormalized.
+    ``s_pos`` and the kept negatives' scores ``t`` are both ascending.
+    Each positive's band holds the scores within the step's half-width (0
+    for the Heaviside) plus a few ulps; every term outside it is exactly 0
+    below and exactly 1 above, so it is only counted, and the band terms
+    are evaluated on the actual differences.  Returns the loss, the
+    per-positive contributions, the negatives' gradient in ``t`` order and
+    the precisions, all unnormalized.
     """
-    p, m = s_pos.shape[0], s_neg.shape[0]
+    p, m = s_pos.shape[0], t.shape[0]
     h = cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
     # The few ulps cover the rounding of s_i -+ width.  np.spacing of the
     # largest double is inf: such a band takes in every score.
     with np.errstate(over="ignore"):
         width = h + 4.0 * np.spacing(np.minimum(np.abs(s_pos) + h, np.finfo(np.float64).max))
         below, above = s_pos - width, s_pos + width
-    neg_order = np.argsort(s_neg)  # tied negatives share every value, so any order will do
-    t = s_neg[neg_order]
 
     # Rank denominators less the negatives: the row's own sample is in its
     # band with the term step(0).
@@ -268,9 +262,7 @@ def _sorted_band_core(s_pos, s_neg, cfg, interpolated):
     # Above its band each positive adds w_i to every negative: a difference
     # array over the sorted negatives, summed once.
     g = np.bincount(hi, weights=w, minlength=m + 1).cumsum()[:-1] + band_grad
-    neg_grad = np.empty(m)
-    neg_grad[neg_order] = g
-    return float(contrib.sum()), contrib, neg_grad, precs
+    return float(contrib.sum()), contrib, g, precs
 
 
 def _row_loop_core(scores, pos, order, kept_neg, cfg, interpolated):
@@ -299,36 +291,28 @@ def _row_loop_core(scores, pos, order, kept_neg, cfg, interpolated):
     return loss, contrib, neg_grad, precs
 
 
-def _accelerated_core(
-    scores: np.ndarray,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    cfg: StepConfig,
-    opts: GradOptions,
-) -> GradResult:
-    """Accelerated gradient on raw arrays (shared hot path)."""
-    grad = np.zeros(scores.shape[0])
+def _accelerated_core(view: _pairwise.RankView, cfg: StepConfig, opts: GradOptions) -> GradResult:
+    """Accelerated gradient on a batch's rank view (shared hot path)."""
+    pos, neg = view.pos, view.neg
+    grad = np.zeros(view.scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return GradResult(0.0, grad, 0, np.ones(p))
-    if opts.prune_trivial_negatives:
-        kept_neg = neg[_trivial_negative_mask(scores, pos, neg, cfg)]
-    else:
-        kept_neg = neg
-    pruned = int(neg.shape[0] - kept_neg.shape[0])
-
-    order = _positive_order(scores, pos)
-    pos_sorted = pos[order]
     if cfg.kind == SIGMOID_KIND:
+        pruned = 0
         loss, contrib, neg_grad, precs = _row_loop_core(
-            scores, pos, order, kept_neg, cfg, opts.interpolated
+            view.scores, pos, view.pos_order, neg, cfg, opts.interpolated
         )
+        grad[neg] = neg_grad
     else:
+        if view.cut != _cut(cfg, opts):
+            raise ValueError(f"rank view cut {view.cut} is not this step's {_cut(cfg, opts)}")
+        pruned = view.below
         loss, contrib, neg_grad, precs = _sorted_band_core(
-            scores[pos_sorted], scores[kept_neg], cfg, opts.interpolated
+            view.pos_sorted, view.neg_sorted, cfg, opts.interpolated
         )
-    grad[pos_sorted] -= contrib
-    grad[kept_neg] = neg_grad
+        grad[neg[view.neg_order]] = neg_grad
+    grad[pos[view.pos_order]] -= contrib
     loss /= p
     if opts.normalize_by_positives:
         grad /= p
@@ -353,4 +337,5 @@ def grad_accelerated(
     so recorded precisions never decrease.
     """
     pos, neg = partition(batch)
-    return _accelerated_core(batch.scores, pos, neg, cfg, opts)
+    view = _pairwise.RankView(batch.scores, pos, neg, _cut(cfg, opts), cfg.kind != SIGMOID_KIND)
+    return _accelerated_core(view, cfg, opts)

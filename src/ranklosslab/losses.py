@@ -31,13 +31,14 @@ def _ap_rows(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConf
     return f[:, pos.shape[0]:].sum(axis=1), _pairwise.rank_denominators(f), f
 
 
-def _ap_loss_core(scores, pos, neg, cfg: StepConfig) -> float:
+def _ap_loss_core(view: _pairwise.RankView, cfg: StepConfig) -> float:
+    pos, neg = view.pos, view.neg
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
     if cfg.kind == HEAVISIDE_KIND:
-        num, denom = _pairwise.rank_counts(scores, pos, neg)
+        num, denom = _pairwise.rank_counts(view)
     else:
-        num, denom, _ = _ap_rows(scores, pos, neg, cfg)
+        num, denom, _ = _ap_rows(view.scores, pos, neg, cfg)
     return float((num / denom).sum() / pos.shape[0])
 
 
@@ -69,8 +70,7 @@ def ap_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     steps (ramp, sigmoid) yield the training-mode surrogate used while
     optimizing; exact reporting should pass the Heaviside config.
     """
-    pos, neg = partition(batch)
-    return _ap_loss_core(batch.scores, pos, neg, cfg)
+    return _ap_loss_core(_pairwise.RankView(batch.scores, *partition(batch)), cfg)
 
 
 def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
@@ -79,7 +79,7 @@ def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
     if cfg.kind == HEAVISIDE_KIND:
-        misordered = _pairwise.rank_counts(batch.scores, pos, neg)[0].sum()
+        misordered = _pairwise.rank_counts(_pairwise.RankView(batch.scores, pos, neg))[0].sum()
     else:
         misordered = _auc_steps(batch.scores, pos, neg, cfg).sum()
     return float(misordered / (pos.shape[0] * neg.shape[0]))

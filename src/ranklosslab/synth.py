@@ -58,6 +58,10 @@ class SynthConfig:
             raise ValueError("noise_sigma must be non-negative")
 
 
+# Rows per step of the in-place projection, centring and shift.
+_ROWS = 2048
+
+
 def _split_counts(total: int, groups: int) -> list[int]:
     base, extra = divmod(total, groups)
     return [base + (1 if g < extra else 0) for g in range(groups)]
@@ -92,14 +96,21 @@ def generate(cfg: SynthConfig) -> RankingDataset:
     start = 0
     for g in range(cfg.groups):
         n_pos, stop = pos_counts[g], start + pos_counts[g] + neg_counts[g]
-        block = features[start:stop]
-        rng.standard_normal(out=block)
-        block *= cfg.noise_sigma
-        if separable:
-            block -= np.outer(block @ u, u)
-        block[:n_pos] += (cfg.margin / 2.0) * u
-        block[n_pos:] += (-cfg.margin / 2.0) * u
-        block += (cfg.score_shift * g) * v
+        group = features[start:stop]
+        rng.standard_normal(out=group)
+        group *= cfg.noise_sigma
+        # One product over the whole group, as its bits can depend on the
+        # row count under a threaded BLAS; the rest runs a few rows at a
+        # time, in cache, with no (n_g, dim) temporary.
+        along_u = group @ u if separable else None
+        for r0 in range(0, stop - start, _ROWS):
+            block = group[r0 : r0 + _ROWS]
+            if separable:
+                block -= np.outer(along_u[r0 : r0 + _ROWS], u)
+            k = max(n_pos - r0, 0)
+            block[:k] += (cfg.margin / 2.0) * u
+            block[k:] += (-cfg.margin / 2.0) * u
+            block += (cfg.score_shift * g) * v
         label_arr[start : start + n_pos] = 1
         gid_arr[start:stop] = g
         start = stop

@@ -24,13 +24,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _pairwise
+from ._pairwise import RankView
 from .baselines import SmoothedApConfig, _smoothed_core, _auc_core
 from .batch import RankingDataset, SampleBatch, partition
-from .gradients import GradOptions, _accelerated_core
+from .gradients import GradOptions, _accelerated_core, _cut
 from .losses import _ap_loss_core
 from .steps import (
     HEAVISIDE,
+    HEAVISIDE_KIND,
     PIECEWISE_KIND,
+    SIGMOID_KIND,
     StepConfig,
     ramp_integral,
     step_value,
@@ -138,22 +141,22 @@ def score_dataset(model: LinearModel, data: RankingDataset) -> SampleBatch:
     return SampleBatch(data.features @ model.theta, data.labels, data.group_ids)
 
 
-def _inseparable_grad(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, delta: float
-) -> tuple[float, np.ndarray]:
+def _inseparable_grad(view: RankView, delta: float) -> tuple[float, np.ndarray]:
     """Margin-modified update: ramp numerator over a hard-rank denominator.
 
     Returns the smooth surrogate value (ramp-integral numerator over the
     same denominators) and the normalized score gradient; the update is
     exactly gradient descent on that surrogate with the denominators
-    frozen at the current weights.
+    frozen at the current weights.  The denominators are counted on the
+    view's sorted scores, the ones the exact loss counted on.
     """
+    scores, pos, neg = view.scores, view.pos, view.neg
     grad = np.zeros(scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0, grad
     diffs = _pairwise.diff_block(scores, pos, neg)
-    denom = _pairwise.rank_counts(scores, pos, neg)[1]
+    denom = _pairwise.rank_counts(view)[1]
     soft = step_value(diffs, StepConfig.piecewise(delta))
     terms = soft / denom[:, None]
     grad[pos] = -terms.sum(axis=1) / p
@@ -193,22 +196,31 @@ def _resolve_step_size(cfg: TrainConfig, data: RankingDataset) -> float:
     return 1.0
 
 
-def _error_driven_rule(scores, pos, neg, cfg: TrainConfig):
-    res = _accelerated_core(scores, pos, neg, cfg.step_cfg, cfg.grad_opts)
+def _error_driven_rule(view: RankView, cfg: TrainConfig):
+    res = _accelerated_core(view, cfg.step_cfg, cfg.grad_opts)
     return res.loss, res.grad, res.pruned_negatives
 
 
-# The update rule of each loss kind, on raw score arrays:
-# (scores, pos, neg, cfg) -> (surrogate, score gradient, pruned negatives).
+# The update rule of each loss kind, on a batch's rank view:
+# (view, cfg) -> (surrogate, score gradient, pruned negatives).
 _UPDATE_RULES = {
     "error_driven_ap": _error_driven_rule,
-    "smoothed_ap_gd": lambda s, pos, neg, cfg: (*_smoothed_core(s, pos, neg, cfg.smoothed), 0),
-    "auc": lambda s, pos, neg, cfg: (*_auc_core(s, pos, neg, cfg.step_cfg), 0),
-    "inseparable_ap": lambda s, pos, neg, cfg: (
-        *_inseparable_grad(s, pos, neg, cfg.step_cfg.delta), 0
-    ),
+    "smoothed_ap_gd": lambda v, cfg: (*_smoothed_core(v.scores, v.pos, v.neg, cfg.smoothed), 0),
+    "auc": lambda v, cfg: (*_auc_core(v, cfg.step_cfg), 0),
+    "inseparable_ap": lambda v, cfg: (*_inseparable_grad(v, cfg.step_cfg.delta), 0),
 }
 LOSS_KINDS = tuple(_UPDATE_RULES)
+
+
+def _view_args(cfg: TrainConfig) -> tuple[float | None, bool]:
+    """The rank view a rule reads: its cut, and whether it reads the
+    negatives' order.  A cut saves only the argsort of the negatives below
+    it, so a rule that reads no order keeps every negative."""
+    if cfg.loss_kind == "error_driven_ap":
+        return _cut(cfg.step_cfg, cfg.grad_opts), cfg.step_cfg.kind != SIGMOID_KIND
+    if cfg.loss_kind == "auc" and cfg.step_cfg.kind == HEAVISIDE_KIND:
+        return 0.0, True
+    return None, False
 
 _ONE_JOINT_ITERATION = dict(max_iters=1, stop_at_zero_loss=False, update_scope="joint")
 
@@ -253,11 +265,17 @@ def train(
 
     Each iteration evaluates the update batch (whole dataset, or one
     erring group in ``per_group`` scope) at the current weights, records a
-    trace row, and then applies the weight update.  Non-convergence is a
-    recorded outcome, not an error; scores that overflow to inf or NaN
-    raise ``ValueError`` naming the iteration.  ``timing`` fills the trace's wall_ns
-    column with measured gradient-computation times; otherwise the column
-    is zero so traces stay byte-reproducible.
+    trace row, and then applies the weight update.  Each batch's classes
+    are sorted once per iteration into a rank view that the exact loss and
+    the update rule both read: the error-driven rule's trivial negatives
+    are only counted, and a joint batch argsorts the rest there when the
+    rule reads their order.  The views are dropped before the weights
+    move, so no sorted copy outlives its iteration.
+    Non-convergence is a recorded outcome, not an error; scores that
+    overflow to inf or NaN raise ``ValueError`` naming the iteration.
+    ``timing`` fills the trace's wall_ns column with measured times of the
+    update rule (a joint batch's up-front argsort is outside them);
+    otherwise the column is zero so traces stay byte-reproducible.
     """
     if model.dim != data.dim:
         raise ValueError(f"model dim {model.dim} does not match feature dim {data.dim}")
@@ -281,14 +299,19 @@ def train(
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
+    # A joint batch's view argsorts its kept negatives up front when the
+    # rule reads their order, so one sort serves the loss and the rule.  Of
+    # the per-group views only the chosen one reaches the rule, which
+    # argsorts on first use.
+    cut, ordered = _view_args(cfg)
+    ordered = ordered and not per_group
 
     # A diverging run overflows; the finiteness checks, not numpy's warnings, report it.
     with np.errstate(over="ignore"):
         for it in range(1, cfg.max_iters + 1):
             scores = _finite_scores(features, theta, it, cfg.loss_kind)
-            losses = [
-                _ap_loss_core(scores[rows], pos, neg, HEAVISIDE) for rows, pos, neg in batches
-            ]
+            views = [RankView(scores[rows], pos, neg, cut, ordered) for rows, pos, neg in batches]
+            losses = [_ap_loss_core(view, HEAVISIDE) for view in views]
             chosen = 0
             if per_group:
                 erring = [k for k, v in enumerate(losses) if v > 0.0]
@@ -297,11 +320,12 @@ def train(
                         break
                     erring = list(range(len(gids)))
                 chosen = erring[int(rng.integers(len(erring)))]
-            rows, pos, neg = batches[chosen]
+            rows = batches[chosen][0]
 
             t0 = time.perf_counter_ns()
-            surrogate, grad, pruned = rule(scores[rows], pos, neg, cfg)
+            surrogate, grad, pruned = rule(views[chosen], cfg)
             wall = time.perf_counter_ns() - t0 if timing else 0
+            del views
 
             trace.ap_loss.append(float(losses[chosen]))
             trace.surrogate.append(float(surrogate))
@@ -318,7 +342,9 @@ def train(
             theta -= eta * (features[rows].T @ grad)
 
         final_scores = _finite_scores(features, theta, it + 1, cfg.loss_kind)
-    trace.final_joint_ap_loss = _ap_loss_core(final_scores, joint_pos, joint_neg, HEAVISIDE)
+    trace.final_joint_ap_loss = _ap_loss_core(
+        RankView(final_scores, joint_pos, joint_neg), HEAVISIDE
+    )
     return LinearModel(theta), trace
 
 
@@ -340,7 +366,7 @@ def surrogate_loss(
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0
-    denom = _pairwise.rank_counts(data.features @ theta_hat, pos, neg)[1]
+    denom = _pairwise.rank_counts(RankView(data.features @ theta_hat, pos, neg))[1]
     return float((_ramp_row_sums(data.features @ u, pos, neg, delta) / denom).sum() / p)
 
 

@@ -5,9 +5,11 @@ These deliberately take different computational routes from the library
 differences instead of analytic gradients) so agreement is evidence of
 correctness rather than repetition.  ``smoothed_chunk_rows`` instead
 shrinks the smoothed-AP block's row chunks, so that small batches run
-through the same chunk loop as large ones.
+through the same chunk loop as large ones, and ``trace_digest`` condenses
+a whole training trace into one sha256 for tests that pin its bytes.
 """
 
+import hashlib
 from contextlib import nullcontext
 from unittest import mock
 
@@ -87,3 +89,22 @@ def smoothed_chunk_rows(rows, n_valid):
     if rows is None:
         return nullcontext()
     return mock.patch.object(baselines, "_SMOOTHED_CHUNK", rows * n_valid)
+
+
+def trace_digest(trace):
+    """sha256 over every column of a training trace, its weight snapshots
+    and its scalars (loss kind, step size, delta, final joint loss)."""
+    h = hashlib.sha256(
+        repr((trace.loss_kind, trace.step_size, trace.delta, trace.final_joint_ap_loss)).encode()
+    )
+    for column, dtype in (
+        (trace.ap_loss, np.float64),
+        (trace.surrogate, np.float64),
+        (trace.wall_ns, np.int64),
+        (trace.pruned_neg, np.int64),
+        (trace.group_id, np.int64),
+    ):
+        h.update(np.array(column, dtype=dtype).tobytes())
+    for theta in trace.thetas or ():
+        h.update(theta.tobytes())
+    return h.hexdigest()

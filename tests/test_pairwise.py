@@ -2,6 +2,7 @@ import numpy as np
 
 from ranklosslab import SampleBatch, StepConfig, partition, step_value
 from ranklosslab._pairwise import (
+    RankView,
     column_counts,
     diff_block,
     diffs,
@@ -46,8 +47,8 @@ class TestRankCounts:
         scores = np.array([0.0, 1.0, -0.0, 1.0, 2.0, -1.0, 0.5])
         labels = np.array([1, 1, 0, 0, 0, 0, -1])
         pos, neg = partition(SampleBatch(scores, labels))
-        num, denom = rank_counts(scores, pos, neg)
-        col = column_counts(scores, pos, neg)
+        num, denom = rank_counts(RankView(scores, pos, neg))
+        col = column_counts(RankView(scores, pos, neg))
         np.testing.assert_array_equal(num, [3.0, 2.0])
         np.testing.assert_array_equal(denom, [5.0, 3.0])
         np.testing.assert_array_equal(col, [1.0, 2.0, 2.0, 0.0])
@@ -59,7 +60,8 @@ class TestRankCounts:
         pos, neg = partition(SampleBatch(scores, labels))
         with np.errstate(over="ignore"):
             f = step_value(diffs(scores, pos, neg), StepConfig.heaviside())
-        num, denom = rank_counts(scores, pos, neg)
+        num, denom = rank_counts(RankView(scores, pos, neg))
         np.testing.assert_array_equal(num, f[:, 2:].sum(axis=1))
         np.testing.assert_array_equal(denom, rank_denominators(f))
-        np.testing.assert_array_equal(column_counts(scores, pos, neg), f[:, 2:].sum(axis=0))
+        cols = column_counts(RankView(scores, pos, neg))
+        np.testing.assert_array_equal(cols, f[:, 2:].sum(axis=0))

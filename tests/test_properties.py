@@ -6,7 +6,9 @@ between positives, between negatives and across the two classes are
 common; labels include ignored samples (-1).  The rank-view and band-path
 batches also draw +-0.0 and scores near +-1e308, whose differences
 overflow to +-inf, and the band path also runs on quarter ticks offset
-by 1e6, where a score's ulp is 1.2e-10.
+by 1e6, where a score's ulp is 1.2e-10.  The rank view is also checked
+against the standalone sorts it replaced on negatives within 2 ulps of
+the pruning cut s_min - delta.
 Runs are derandomized and keep no example database, so every run draws
 the same examples.
 """
@@ -37,7 +39,7 @@ from ranklosslab import (
     surrogate_loss,
 )
 from ranklosslab import baselines, gradients
-from ranklosslab._pairwise import column_counts, diff_block, diffs, rank_counts
+from ranklosslab._pairwise import RankView, column_counts, diff_block, diffs, rank_counts
 from ranklosslab.trainer import _inseparable_grad
 from helpers import smoothed_chunk_rows
 
@@ -131,10 +133,14 @@ def test_rank_counts_equal_the_dense_sums(batch):
     pos, neg = partition(batch)
     f = dense_hard(batch.scores, pos, neg)
     p = pos.shape[0]
-    num, denom = rank_counts(batch.scores, pos, neg)
+    num, denom = rank_counts(RankView(batch.scores, pos, neg))
     assert_same_bits(num, f[:, p:].sum(axis=1))
     assert_same_bits(denom, 1.0 + f.sum(axis=1) - f.diagonal())
-    assert_same_bits(column_counts(batch.scores, pos, neg), f[:, p:].sum(axis=0))
+    for cut in (None, 0.0, 1.0):
+        for ordered in (False, True):
+            view = RankView(batch.scores, pos, neg, cut, ordered)
+            assert_same_bits(rank_counts(view)[1], denom)
+            assert_same_bits(column_counts(view), f[:, p:].sum(axis=0))
 
 
 @OVERFLOW_OK
@@ -180,7 +186,7 @@ def test_inseparable_update_and_surrogate_keep_the_dense_bits(batch, u, delta):
         surrogate = float((ramp_integral(block, delta).sum(axis=1) / denom).sum() / p)
         ramp_u = ramp_integral(diff_block(data.features @ u, pos, neg), delta).sum(axis=1)
         at_u = float((ramp_u / denom).sum() / p)
-    value, update = _inseparable_grad(scores, pos, neg, delta)
+    value, update = _inseparable_grad(RankView(scores, pos, neg), delta)
     assert_same_bits(value, surrogate)
     assert_same_bits(update, grad)
     assert_same_bits(surrogate_loss(u, data, theta_hat, delta), at_u)
@@ -274,6 +280,103 @@ def test_band_edges_at_and_within_ulps_of_the_half_width(step):
     for interpolated in (False, True):
         for prune in (False, True):
             assert_matches_the_oracles(batch, step, interpolated, prune)
+
+
+# The rank view against the standalone forms it replaced: each sort made
+# inside its consumer, the trivial negatives found by a mask over them in
+# ``neg`` order, and the band kernel fed its own argsort of the kept ones.
+def standalone_counts(scores, pos, neg):
+    s_pos = scores[pos]
+    neg_sorted, pos_sorted = np.sort(scores[neg]), np.sort(s_pos)
+    num = neg.shape[0] - neg_sorted.searchsorted(s_pos, side="left")
+    denom = num + (pos.shape[0] - pos_sorted.searchsorted(s_pos, side="left"))
+    cols = pos_sorted.searchsorted(scores[neg], side="right")
+    return num.astype(np.float64), denom.astype(np.float64), cols.astype(np.float64)
+
+
+def standalone_accelerated(scores, pos, neg, step, opts):
+    grad, p = np.zeros(scores.shape[0]), pos.shape[0]
+    if p == 0 or neg.shape[0] == 0:
+        return 0.0, grad, 0
+    diff = scores[neg] - scores[pos].min()
+    if step.kind == "sigmoid" or not opts.prune_trivial_negatives:
+        kept = neg
+    else:
+        kept = neg[diff > -step.delta if step.kind == "piecewise" else diff >= 0.0]
+    order = np.argsort(scores[pos], kind="stable")
+    if step.kind == "sigmoid":
+        loss, contrib, neg_grad, _ = gradients._row_loop_core(
+            scores, pos, order, kept, step, opts.interpolated
+        )
+    else:
+        neg_order = np.argsort(scores[kept])
+        loss, contrib, g, _ = gradients._sorted_band_core(
+            scores[pos[order]], scores[kept][neg_order], step, opts.interpolated
+        )
+        neg_grad = np.empty(kept.shape[0])
+        neg_grad[neg_order] = g
+    grad[pos[order]] -= contrib
+    grad[kept] = neg_grad
+    if opts.normalize_by_positives:
+        grad /= p
+    return float(loss / p), grad, neg.shape[0] - kept.shape[0]
+
+
+@st.composite
+def cut_edge_batches(draw, h):
+    """Quarter ticks whose negatives partly sit within 2 ulps of s_min - h,
+    the pruning cut of a step of half-width h.  The lowest positive is set
+    to a score from which s_min - h rounds for h > 0, so that comparing a
+    negative with s_min - h is not the same test as the cut's."""
+    batch = draw(batches())
+    scores, labels = batch.scores.copy(), batch.labels
+    pos, neg = partition(batch)
+    if pos.shape[0]:
+        s_min = draw(st.sampled_from((-7.7, -0.9, -0.3, 0.45)))
+        scores[pos] = np.maximum(scores[pos], s_min)
+        scores[pos[0]] = s_min
+        for j in neg[: draw(st.integers(0, neg.shape[0]))]:
+            ulps = draw(st.integers(-2, 2))
+            scores[j] = s_min - h
+            for _ in range(abs(ulps)):
+                scores[j] = np.nextafter(scores[j], ulps * np.inf)
+    return SampleBatch(scores, labels)
+
+
+VIEW_KINDS = (*BATCH_KINDS, "cut_edge")
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize("kind", VIEW_KINDS)
+@PROPERTY
+@given(st.data(), st.sampled_from(STEPS), st.booleans(), st.booleans())
+def test_rank_view_keeps_the_standalone_bits(kind, data, step, interpolated, normalize):
+    # Loss, counts, gradient and pruned count, bit for bit, with pruning on
+    # and off, whether the view argsorts its negatives up front or on first use.
+    h = step.delta if step.kind == "piecewise" else 0.0
+    batch = data.draw(cut_edge_batches(h) if kind == "cut_edge" else BATCH_KINDS[kind])
+    scores, (pos, neg) = batch.scores, partition(batch)
+    num, denom, cols = standalone_counts(scores, pos, neg)
+    for cut in (None, 0.0, h or 0.5):
+        for ordered in (False, True):
+            view = RankView(scores, pos, neg, cut, ordered)
+            assert_same_bits(rank_counts(view)[0], num)
+            assert_same_bits(rank_counts(view)[1], denom)
+            assert_same_bits(column_counts(view), cols)
+    for prune in (False, True):
+        opts = GradOptions(interpolated, prune, normalize)
+        loss, grad, pruned = standalone_accelerated(scores, pos, neg, step, opts)
+        cut = gradients._cut(step, opts)
+        for ordered in (False, True):
+            res = gradients._accelerated_core(RankView(scores, pos, neg, cut, ordered), step, opts)
+            assert_same_bits(res.loss, loss)
+            assert_same_bits(res.grad, grad)
+            assert res.pruned_negatives == pruned
+        res = grad_accelerated(batch, step, opts)
+        assert_same_bits(res.grad, grad)
+        assert (res.loss, res.pruned_negatives) == (loss, pruned)
+    expected = float((num / denom).sum() / pos.shape[0]) if pos.shape[0] and neg.shape[0] else 0.0
+    assert_same_bits(ap_loss(batch), expected)
 
 
 def smoothed_ap_longdouble(batch, cfg):

@@ -29,8 +29,10 @@ from ranklosslab import (
 )
 from ranklosslab.experiments import GD_FAILURE_INIT, gd_failure_dataset
 from ranklosslab import trainer as trainer_module
+from ranklosslab._pairwise import RankView
+from ranklosslab.gradients import _cut
 from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
-from helpers import random_batch_arrays
+from helpers import random_batch_arrays, trace_digest
 
 
 class TestScoreDataset:
@@ -235,7 +237,8 @@ class TestInseparableStep:
         same = inseparable_step(model, data, TrainConfig(loss_kind="inseparable_ap", step_cfg=ramp))
         np.testing.assert_array_equal(new.theta, same.theta)
         pos, neg = partition(data)
-        _, grad = trainer_module._inseparable_grad(data.features @ model.theta, pos, neg, 1.0)
+        view = RankView(data.features @ model.theta, pos, neg)
+        _, grad = trainer_module._inseparable_grad(view, 1.0)
         eta = 1.0 / jacobian_norm_bound(data) ** 2
         np.testing.assert_allclose(
             new.theta, model.theta - eta * (data.features.T @ grad), rtol=1e-12
@@ -576,7 +579,7 @@ class TestUpdateRules:
             cfg = TrainConfig(step_cfg=step, grad_opts=opts, smoothed=smoothed)
 
             def rule(kind):
-                return _UPDATE_RULES[kind](batch.scores, pos, neg, cfg)
+                return _UPDATE_RULES[kind](RankView(batch.scores, pos, neg, _cut(step, opts)), cfg)
 
             res = grad_accelerated(batch, step, opts)
             surrogate, grad, pruned = rule("error_driven_ap")
@@ -592,3 +595,89 @@ class TestUpdateRules:
             surrogate, grad, pruned = rule("auc")
             assert (surrogate, pruned) == (value, 0)
             np.testing.assert_array_equal(grad, expected)
+
+
+# Whole training traces pinned by sha256 (every column, the weight
+# snapshots and the scalars; see ``helpers.trace_digest``).  Every loss
+# kind, the three step kinds, both update scopes, interpolation and
+# pruning on and off; all but one run start from seeded random weights,
+# and that one from zero weights, where every score ties.
+_SEPARABLE = SynthConfig(
+    dim=6, positives=12, negatives=240, groups=3, margin=0.2, seed=4, score_shift=1.0
+)
+_OVERLAP = SynthConfig(dim=6, positives=12, negatives=240, groups=3, margin=-0.5, seed=5)
+_H, _SIG = StepConfig.heaviside(), StepConfig.sigmoid(0.5)
+_RAMP, _HALF = StepConfig.piecewise(1.0), StepConfig.piecewise(0.5)
+PINNED_TRACES = {
+    "ed_heaviside_all_tied": (
+        _SEPARABLE, False, dict(step_cfg=_H),
+        "d846784d30e3316133d19c7da6eb5ea0714f6ee82884ae490c381856c813d6bc",
+    ),
+    "ed_ramp_interpolated_unpruned": (
+        _SEPARABLE, True, dict(step_cfg=_RAMP, grad_opts=GradOptions(True, False, False)),
+        "a232522c30735c37d1afa64e7a7b13ed70c4f7aeb2ae7c6fa78a905781c0f353",
+    ),
+    "ed_ramp_per_group": (
+        _OVERLAP, True,
+        dict(step_cfg=_HALF, grad_opts=GradOptions(False, True, False), update_scope="per_group",
+             stop_at_zero_loss=False, max_iters=40, seed=3),
+        "652eab8a82795548d4f1b9330c80c84af0539228765ed12e65f7b6f7d9e81727",
+    ),
+    "ed_heaviside_interpolated_per_group": (
+        _SEPARABLE, True,
+        dict(step_cfg=_H, grad_opts=GradOptions(True, False), update_scope="per_group", seed=1),
+        "c40b30657ace8fae6d168d465b0d8c37b883b80671045437601d43c06a1233d6",
+    ),
+    "ed_sigmoid_interpolated": (
+        _OVERLAP, True, dict(step_cfg=_SIG, grad_opts=GradOptions(True, True, False), max_iters=30),
+        "c207918d6481269866aba2dc578c5f4d76f6347a90b8bfe27f2d0e6f7850c817",
+    ),
+    "smoothed_log_space": (
+        _OVERLAP, True,
+        dict(loss_kind="smoothed_ap_gd", step_size=0.5, smoothed=SmoothedApConfig(log_space=True),
+             max_iters=30),
+        "f4a1834e243deb4d0160eec4f49005a05cc9cb3d04ffd7ee04ff6a0517f6ff81",
+    ),
+    "smoothed_per_group": (
+        _SEPARABLE, True,
+        dict(loss_kind="smoothed_ap_gd", update_scope="per_group", max_iters=30, seed=2),
+        "be2ce93f8e3b44525ffb0ae08c1e6b5df33c67ad1cae45e6cc12e2187365124c",
+    ),
+    "auc_heaviside": (
+        _OVERLAP, True, dict(loss_kind="auc", step_size=0.5, stop_at_zero_loss=False, max_iters=30),
+        "a1584d0e8c3303a2e696e71368d23399c6cb3b2768c4d57c84e3a7f6b6da1ce1",
+    ),
+    "auc_ramp_per_group": (
+        _SEPARABLE, True,
+        dict(loss_kind="auc", step_cfg=_HALF, update_scope="per_group", max_iters=40),
+        "b43f42ad429f49b5da53d8693c7d128432ad5142a6e93cba99bbf64ffb93080e",
+    ),
+    "auc_sigmoid": (
+        _OVERLAP, True, dict(loss_kind="auc", step_cfg=_SIG, max_iters=20),
+        "6d2204c95f448bca94b11ac536a74f1a91ca546a27f3ea7e0fab9071f3c8476b",
+    ),
+    "inseparable_joint": (
+        _OVERLAP, True,
+        dict(loss_kind="inseparable_ap", step_cfg=_RAMP, stop_at_zero_loss=False, max_iters=40),
+        "9874e2122ff089cc7568bbe0622e365e679f4f78735103fea4c11ecb77cc2ea1",
+    ),
+    "inseparable_per_group": (
+        _OVERLAP, True,
+        dict(loss_kind="inseparable_ap", step_cfg=_HALF, update_scope="per_group",
+             stop_at_zero_loss=False, max_iters=40, seed=4),
+        "4330be04f7e6f403c4f1625f0ee8bdac4b5040d318da153b09e26fd6a7aadc0a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TRACES)
+def test_training_traces_keep_their_pinned_bytes(name):
+    synth, random_start, kwargs, digest = PINNED_TRACES[name]
+    data = generate(synth)
+    theta = (
+        np.random.default_rng(len(name)).standard_normal(synth.dim)
+        if random_start
+        else np.zeros(synth.dim)
+    )
+    _, trace = train(LinearModel(theta), data, TrainConfig(record_weights=True, **kwargs))
+    assert trace_digest(trace) == digest
