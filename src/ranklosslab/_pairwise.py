@@ -25,11 +25,23 @@ update read the negatives' order from it, and the accelerated gradient's
 trivial negatives are the ones below its cut, which are never sorted.
 Tied scores are interchangeable in every one of these, so any sort order
 of them gives the same bits.
+
+The sigmoid has no bounded support, so its rows are built whole, by
+``sigmoid_rows`` alone, for the smoothed baseline and the sigmoid
+error-driven gradient: from separable exponentials, exp((s_i - s_j)/k) =
+exp((s_i - c)/k) * exp(-(s_j - c)/k) with c the scores' mid-range, so the
+block costs P + n ``exp`` calls, a few rows at a time that stay in cache.
+Past a score span (max - min)/k of 700, where the product could overflow,
+each pair takes one bounded ``exp`` of its own difference instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+
+from .steps import StepConfig, step_value
 
 
 def columns(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -50,6 +62,55 @@ def diff_block(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
 def rank_denominators(f: np.ndarray) -> np.ndarray:
     """Per-row 1 + sum_{k != i} f[i, k] of a step matrix laid out as ``diffs``."""
     return 1.0 + f.sum(axis=1) - f.diagonal()
+
+
+# Largest (max - min)/k taken by the separable factors, whose largest
+# product is exp((max - min)/k): DBL_MAX is exp(709.78), and 700 leaves room
+# for the rounding of the centre and of the two exp factors.
+_SEPARABLE_SPAN = 700.0
+
+# Block entries per chunk of sigmoid rows, so that the chunk's two buffers
+# stay in cache (two rows at n = 50,050).
+_SIGMOID_CHUNK = 1 << 17
+
+
+def sigmoid_rows(
+    s: np.ndarray, p: int, k: float
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (i0, i1, sig, d) over the sigmoid block's rows, a chunk at a
+    time: sig[r, j] = sigmoid((s_j - s_i)/k) for row i = i0 + r, one row
+    per score in ``s[:p]``, and d = k * sigmoid', both 0 on the row's own
+    column i.  Both are views into buffers that the next chunk reuses."""
+    n = s.shape[0]
+    rows = min(p, max(1, _SIGMOID_CHUNK // n))
+    sig_buf, d_buf = np.empty((rows, n)), np.empty((rows, n))
+    lo, hi = float(s.min()), float(s.max())
+    separable = (hi - lo) / k <= _SEPARABLE_SPAN
+    if separable:
+        # e_pos[i] = exp((s_i - c)/k) over the rows, e_neg[j] = exp(-(s_j - c)/k).
+        e_neg = (lo + 0.5 * (hi - lo) - s) / k
+        e_pos = np.exp(-e_neg[:p])
+        np.exp(e_neg, out=e_neg)
+    else:
+        cfg = StepConfig.sigmoid(k)
+    for i0 in range(0, p, rows):
+        i1 = min(i0 + rows, p)
+        sig, d = sig_buf[: i1 - i0], d_buf[: i1 - i0]
+        if separable:
+            # t = exp((s_i - s_j)/k), sigmoid((s_j - s_i)/k) = 1/(1 + t), and
+            # k * sigmoid' = t * sig^2, with no 1 - sig cancellation; (t * sig)
+            # * sig stays normal where sig^2 would underflow.
+            np.multiply.outer(e_pos[i0:i1], e_neg, out=d)
+            np.divide(1.0, np.add(d, 1.0, out=sig), out=sig)
+            np.fill_diagonal(sig[:, i0:], 0.0)
+            d *= sig
+        else:
+            # One bounded exp per pair, and k * sigmoid' = sig * (1 - sig).
+            sig[...] = step_value(np.subtract(s, s[i0:i1, None], out=sig), cfg)
+            np.fill_diagonal(sig[:, i0:], 0.0)
+            np.subtract(1.0, sig, out=d)
+        d *= sig
+        yield i0, i1, sig, d
 
 
 class RankView:

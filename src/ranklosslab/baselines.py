@@ -6,31 +6,26 @@ log space), the AUC-style error-driven gradient, and the two classic
 activations -- softmax and the margin step -- for which the error-driven
 update collapses to the gradients of cross-entropy and hinge loss.
 
-The smoothed baseline evaluates its P x n sigmoid block from separable
-exponentials: exp((s_i - s_j)/k) = exp((s_i - c)/k) * exp(-(s_j - c)/k),
-with c the mid-range of the valid scores, so the block costs P + n ``exp``
-calls and one outer product.  The block is never whole in memory: a few
-rows at a time (about 2^17 entries, two rows at n = 50,050) are built,
-reduced and dropped while they are still in cache.  The sigmoid's
-derivative and the quotient rule's sums come from the same rows, the
-column sums as two matrix-vector products per chunk added into one
-gradient.  Past a score span (max - min)/k of 700 the block's largest
-entry would near the double range (DBL_MAX is exp(709.78)), and the dense
-difference block, one bounded ``exp`` per pair, takes over.
+The smoothed baseline reduces its P x n sigmoid block a few rows at a
+time, as ``_pairwise.sigmoid_rows`` yields them: from separable
+exponentials, P + n ``exp`` calls and one outer product, within a score
+span (max - min)/k of 700, and one bounded ``exp`` per pair past it.  The
+block is never whole in memory.  The sigmoid's derivative and the quotient
+rule's sums come from the same rows, the column sums as two matrix-vector
+products per chunk added into one gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import _pairwise
 from .batch import SampleBatch, partition
 from .losses import _auc_steps
-from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig, step_value
+from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig
 
 
 @dataclass(frozen=True)
@@ -52,21 +47,6 @@ class SmoothedApConfig:
         if self.log_space and not 0 < self.epsilon < math.inf:
             raise ValueError(f"log-space objective requires finite epsilon > 0, got {self.epsilon}")
 
-    @cached_property
-    def step(self) -> StepConfig:
-        """The sigmoid activation that replaces each hard step."""
-        return StepConfig.sigmoid(self.k)
-
-
-# Largest (max - min)/k taken by the separable block, whose largest entry
-# is exp((max - min)/k): DBL_MAX is exp(709.78), and 700 leaves room for the
-# rounding of the centre and of the two exp factors.
-_SEPARABLE_SPAN = 700.0
-
-# Block entries per chunk of rows on the separable path, so that the chunk's
-# two temporaries stay in cache (two rows at n = 50,050).
-_SMOOTHED_CHUNK = 1 << 17
-
 
 def _smoothed_core(
     scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: SmoothedApConfig
@@ -75,14 +55,25 @@ def _smoothed_core(
     if p == 0 or neg.shape[0] == 0:
         return 0.0, np.zeros(scores.shape[0])
     cols = _pairwise.columns(pos, neg)
-    s = scores[cols]
-    # Only valid scores set the span and the centre, so ignored samples
-    # change no bit of the result.
-    lo, hi = float(s.min()), float(s.max())
-    if (hi - lo) / cfg.k > _SEPARABLE_SPAN:
-        value, g = _smoothed_direct(s, p, cfg)
-    else:
-        value, g = _smoothed_separable(s, p, lo + 0.5 * (hi - lo), cfg.k)
+    # Only valid scores enter the block, so ignored samples change no bit
+    # of the result.
+    num, denom = np.empty(p), np.empty(p)
+    g = np.zeros(cols.shape[0])
+    for i0, i1, sig, t in _pairwise.sigmoid_rows(scores[cols], p, cfg.k):
+        num[i0:i1] = sig[:, p:].sum(axis=1)
+        denom[i0:i1] = 1.0 + num[i0:i1] + sig[:, :p].sum(axis=1)
+
+        # d(value)/d(s_m): the quotient rule splits into a per-column part (m
+        # is column j or k of row i) and a per-row part (m is the row's own
+        # positive, entering every difference with opposite sign).  t is
+        # k * sigmoid', 0 on the row's own column.
+        w_num = 1.0 / (p * denom[i0:i1])
+        w_den = num[i0:i1] / (p * denom[i0:i1] * denom[i0:i1])
+        g[:p] -= w_den @ t[:, :p]
+        g[p:] += (w_num - w_den) @ t[:, p:]
+        g[i0:i1] += w_den * t.sum(axis=1) - w_num * t[:, p:].sum(axis=1)
+    g /= cfg.k
+    value = float((num / denom).sum() / p)
     # Allocated only now, so it is not held while the block is evaluated.
     grad = np.zeros(scores.shape[0])
     grad[cols] = g
@@ -93,69 +84,6 @@ def _smoothed_core(
     return value, grad
 
 
-def _smoothed_separable(s: np.ndarray, p: int, c: float, k: float) -> tuple[float, np.ndarray]:
-    """Smoothed AP value and gradient over the block's column scores ``s``
-    (the ``p`` positives first), from P + n exponentials centred at ``c``,
-    a chunk of rows at a time."""
-    n = s.shape[0]
-    # e_pos[i] = exp((s_i - c)/k) over the positives, e_neg[j] = exp(-(s_j - c)/k).
-    e_neg = (c - s) / k
-    e_pos = np.exp(-e_neg[:p])
-    np.exp(e_neg, out=e_neg)
-    rows = min(p, max(1, _SMOOTHED_CHUNK // n))
-    t_buf, sig_buf = np.empty((rows, n)), np.empty((rows, n))
-    num, denom = np.empty(p), np.empty(p)
-    g = np.zeros(n)
-    for i0 in range(0, p, rows):
-        i1 = min(i0 + rows, p)
-        t, sig = t_buf[: i1 - i0], sig_buf[: i1 - i0]
-        # t[r, j] = exp((s_i - s_j)/k) for row i = i0 + r, and
-        # sigmoid((s_j - s_i)/k) = 1/(1 + t).
-        np.multiply.outer(e_pos[i0:i1], e_neg, out=t)
-        np.add(t, 1.0, out=sig)
-        np.divide(1.0, sig, out=sig)
-        # A row's own column enters no sum; zeroing it here zeroes it in t below.
-        np.fill_diagonal(sig[:, i0:], 0.0)
-        num[i0:i1] = sig[:, p:].sum(axis=1)
-        denom[i0:i1] = 1.0 + num[i0:i1] + sig[:, :p].sum(axis=1)
-        # k * sigmoid' = t * sig^2, with no 1 - sig cancellation; (t * sig) * sig
-        # stays normal where sig^2 would underflow.
-        t *= sig
-        t *= sig
-
-        # d(value)/d(s_m): the quotient rule splits into a per-column part (m
-        # is column j or k of row i) and a per-row part (m is the row's own
-        # positive, entering every difference with opposite sign).
-        w_num = 1.0 / (p * denom[i0:i1])
-        w_den = num[i0:i1] / (p * denom[i0:i1] * denom[i0:i1])
-        g[:p] -= w_den @ t[:, :p]
-        g[p:] += (w_num - w_den) @ t[:, p:]
-        g[i0:i1] += w_den * t.sum(axis=1) - w_num * t[:, p:].sum(axis=1)
-    g /= k
-    return float((num / denom).sum() / p), g
-
-
-def _smoothed_direct(s: np.ndarray, p: int, cfg: SmoothedApConfig) -> tuple[float, np.ndarray]:
-    """``_smoothed_separable``'s result from the dense difference block: one
-    exponential per pair, each at most 1 whatever the score span."""
-    sig = step_value(s[None, :] - s[:p, None], cfg.step)
-    dsig = sig * (1.0 - sig) / cfg.k
-    num = sig[:, p:].sum(axis=1)
-    denom = _pairwise.rank_denominators(sig)
-    value = float((num / denom).sum() / p)
-
-    w_num = 1.0 / (p * denom)
-    w_den = num / (p * denom * denom)
-    col = dsig * (-w_den[:, None])
-    col[:, p:] += dsig[:, p:] * w_num[:, None]
-    np.fill_diagonal(col, 0.0)
-    g = col.sum(axis=0)
-    dsig_neg = dsig[:, p:].sum(axis=1)
-    dsig_other = dsig.sum(axis=1) - dsig.diagonal()
-    g[:p] += -w_num * dsig_neg + w_den * dsig_other
-    return value, g
-
-
 def smoothed_ap_loss_and_grad(
     batch: SampleBatch, cfg: SmoothedApConfig = SmoothedApConfig()
 ) -> tuple[float, np.ndarray]:
@@ -164,11 +92,8 @@ def smoothed_ap_loss_and_grad(
     The hard steps of the pairwise loss are replaced by sigmoids of slope
     scale ``k`` so the objective is differentiable everywhere; the gradient
     is exact (finite-difference checkable), not error-driven.  The sigmoid
-    block is the outer product of exp((s_i - c)/k) over the positives and
-    exp(-(s_j - c)/k) over the valid samples, c their mid-range, evaluated
-    a few rows at a time so that no P x n array is allocated; when the
-    valid scores span more than 700 k, where that product could overflow,
-    each pair's sigmoid is evaluated from its own difference instead.
+    block comes from ``_pairwise.sigmoid_rows``, a few rows at a time, so
+    no P x n array is allocated.
     Ignored samples change no bit of the result.
     """
     pos, neg = partition(batch)

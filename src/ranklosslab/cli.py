@@ -249,12 +249,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_bench(args) -> int:
     spec = _spec_for(args, default_bench_spec)
     result = bench_acceleration(spec)
-    first = [r[1] for r in result.timeline[: max(len(result.timeline) // 10, 1)]]
-    last = [r[1] for r in result.timeline[-max(len(result.timeline) // 10, 1) :]]
-    print(
-        f"bench: {len(result.timeline)} iterations; median pruned-path time "
-        f"first 10% {np.median(first) / 1e6:.3f}ms -> last 10% {np.median(last) / 1e6:.3f}ms"
-    )
+    times = [r[1] / 1e6 for r in result.timeline]
+    tenth = max(len(times) // 10, 1)
+    if times:
+        print(
+            f"bench: {len(times)} iterations; median pruned-path time first 10% "
+            f"{np.median(times[:tenth]):.3f}ms -> last 10% {np.median(times[-tenth:]):.3f}ms"
+        )
+    else:
+        print("bench: 0 iterations, nothing to rank")
     print(f"wrote bench tables to {spec.output_path}")
     return 0
 

@@ -21,8 +21,9 @@ gradient.  Three routes compute it:
   differences, and the negatives' gradient goes back through the view's
   order in one scatter, so a call costs O(n) plus O(k log k) for the k
   kept negatives, plus the band pairs.  The sigmoid, whose transition has
-  no bounded width, walks the positives in ascending score order with one
-  pairwise row alive at a time.
+  no bounded width, reduces the rows of ``_pairwise.sigmoid_rows`` in
+  ascending positive order, the negatives' gradient one matrix-vector
+  product per chunk of rows.
 """
 
 from __future__ import annotations
@@ -203,6 +204,23 @@ def _row_sums(start, stop, rows, f):
     return f.sum() if rows is None else np.bincount(rows, weights=f, minlength=stop - start)
 
 
+def _precisions(num, denom, interpolated, max_prec):
+    """(w, contrib, prec, max_prec) for a chunk of rows in ascending order:
+    row i's negative terms are w_i times its steps and sum to contrib_i.
+    With ``interpolated`` a precision below the running maximum (carried in
+    ``max_prec``) is rescaled up to it."""
+    frac = num / denom
+    prec = 1.0 - frac
+    scale = np.ones(num.shape[0])
+    if interpolated:
+        best = np.maximum(np.maximum.accumulate(prec), max_prec)
+        low = prec < best
+        scale[low] = (1.0 - best[low]) / (1.0 - prec[low])
+        prec[low] = best[low]
+        max_prec = best[-1]
+    return scale / denom, frac * scale, prec, max_prec
+
+
 def _sorted_band_core(s_pos, t, cfg, interpolated):
     """The bounded-support steps on sorted scores.
 
@@ -239,19 +257,9 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     for start, stop, rows, cols, f in _band_chunks(t, s_pos, lo, hi, cfg):
         chunk = slice(start, stop)
         num[chunk] += _row_sums(start, stop, rows, f)
-        denom = 1.0 + others[chunk] + num[chunk]
-        frac = num[chunk] / denom
-        prec = 1.0 - frac
-        scale = np.ones(stop - start)
-        if interpolated:
-            best = np.maximum(np.maximum.accumulate(prec), max_prec)
-            low = prec < best
-            scale[low] = (1.0 - best[low]) / (1.0 - prec[low])
-            prec[low] = best[low]
-            max_prec = best[-1]
-        w[chunk] = scale / denom
-        contrib[chunk] = frac * scale
-        precs[chunk] = prec
+        w[chunk], contrib[chunk], precs[chunk], max_prec = _precisions(
+            num[chunk], 1.0 + others[chunk] + num[chunk], interpolated, max_prec
+        )
         if rows is None:
             band_grad[cols] += f * w[start]
         elif rows.shape[0]:
@@ -265,30 +273,21 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     return float(contrib.sum()), contrib, g, precs
 
 
-def _row_loop_core(scores, pos, order, kept_neg, cfg, interpolated):
-    """One pairwise row per positive, visited in ``order``; any step kind."""
-    p = pos.shape[0]
-    s_sub = scores[np.concatenate([pos, kept_neg])]
-    neg_grad = np.zeros(kept_neg.shape[0])
+def _sigmoid_core(s_pos, s_neg, k, interpolated):
+    """``_sorted_band_core``'s results for the sigmoid, from the ascending
+    positives ``s_pos`` and the negatives ``s_neg`` in any order, a chunk of
+    ``_pairwise.sigmoid_rows`` at a time."""
+    p = s_pos.shape[0]
+    contrib, precs = np.empty(p), np.empty(p)
+    g = np.zeros(s_neg.shape[0])
     max_prec = 0.0
-    loss = 0.0
-    contrib = np.empty(p)
-    precs = np.empty(p)
-    for rank, a in enumerate(order):
-        f = step_value(s_sub - s_sub[a], cfg)
-        denom = 1.0 + f.sum() - f[a]
-        row = f[p:] / denom
-        prec = 1.0 - row.sum()
-        if prec >= max_prec:
-            max_prec = prec
-        elif interpolated:
-            row = row * ((1.0 - max_prec) / (1.0 - prec))
-            prec = max_prec
-        precs[rank] = prec
-        contrib[rank] = row.sum()
-        loss += contrib[rank]
-        neg_grad += row
-    return loss, contrib, neg_grad, precs
+    for i0, i1, sig, _ in _pairwise.sigmoid_rows(np.concatenate([s_pos, s_neg]), p, k):
+        num = sig[:, p:].sum(axis=1)
+        w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(
+            num, 1.0 + num + sig[:, :p].sum(axis=1), interpolated, max_prec
+        )
+        g += w @ sig[:, p:]
+    return float(contrib.sum()), contrib, g, precs
 
 
 def _accelerated_core(view: _pairwise.RankView, cfg: StepConfig, opts: GradOptions) -> GradResult:
@@ -300,10 +299,9 @@ def _accelerated_core(view: _pairwise.RankView, cfg: StepConfig, opts: GradOptio
         return GradResult(0.0, grad, 0, np.ones(p))
     if cfg.kind == SIGMOID_KIND:
         pruned = 0
-        loss, contrib, neg_grad, precs = _row_loop_core(
-            view.scores, pos, view.pos_order, neg, cfg, opts.interpolated
+        loss, contrib, grad[neg], precs = _sigmoid_core(
+            view.pos_sorted, view.scores[neg], cfg.k, opts.interpolated
         )
-        grad[neg] = neg_grad
     else:
         if view.cut != _cut(cfg, opts):
             raise ValueError(f"rank view cut {view.cut} is not this step's {_cut(cfg, opts)}")
@@ -329,9 +327,9 @@ def grad_accelerated(
     Memory stays linear in the batch.  For the hard step and the ramp the
     surviving negatives are sorted once; each positive's sums and terms
     are counts outside its transition band plus the band's own terms,
-    evaluated a bounded chunk of pairs at a time.  For the sigmoid, one
-    row of pairwise differences per positive (visited in ascending score
-    order) is computed, consumed, and dropped.  With interpolation off
+    evaluated a bounded chunk of pairs at a time.  For the sigmoid, a few
+    whole rows at a time (positives in ascending score order) are built,
+    consumed, and dropped.  With interpolation off
     the output matches ``grad_bruteforce`` up to rounding; with it on,
     each row whose precision falls below the running maximum is rescaled
     so recorded precisions never decrease.

@@ -10,8 +10,10 @@ offsets along a second direction orthogonal to ``u`` inject the
 score-shift scenario without breaking joint separability.
 
 All randomness flows through numpy's PCG64 generator seeded from the
-config, so a (config, seed) pair reproduces the dataset bit for bit on
-any platform.
+config, so a (config, seed) pair reproduces the dataset bit for bit at a
+given BLAS thread count.  Another thread count can change the bytes once
+a group has tens of thousands of rows: a threaded BLAS splits the
+projection ``group @ u`` between threads, and the split changes rounding.
 """
 
 from __future__ import annotations

@@ -3,10 +3,13 @@
 These deliberately take different computational routes from the library
 (binary search on sorted scores instead of pairwise matrices, central
 differences instead of analytic gradients) so agreement is evidence of
-correctness rather than repetition.  ``smoothed_chunk_rows`` instead
-shrinks the smoothed-AP block's row chunks, so that small batches run
-through the same chunk loop as large ones, and ``trace_digest`` condenses
-a whole training trace into one sha256 for tests that pin its bytes.
+correctness rather than repetition.  ``smoothed_ap_longdouble`` writes
+the smoothed AP objective out densely in long double.
+``sigmoid_chunk_rows`` instead shrinks the sigmoid block's row chunks, so
+that small batches run through the same chunk loop as large ones,
+``per_pair_sigmoid`` records whether the block took its per-pair form,
+and ``trace_digest`` condenses a whole training trace into one sha256 for
+tests that pin its bytes.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 
-from ranklosslab import baselines
+from ranklosslab import _pairwise
 
 
 def central_diff(fn, x, eps=1e-6):
@@ -82,13 +85,53 @@ def random_batch_arrays(rng, max_n=60, max_pos=10, with_ignored=True, tie_prob=0
     return scores, labels
 
 
-def smoothed_chunk_rows(rows, n_valid):
-    """Make the separable smoothed-AP path take ``rows`` block rows per
-    chunk on a batch of ``n_valid`` valid samples; ``None`` keeps the
-    library's chunk budget."""
+def sigmoid_chunk_rows(rows, n_valid):
+    """Make ``_pairwise.sigmoid_rows`` take ``rows`` block rows per chunk on
+    a block of ``n_valid`` columns; ``None`` keeps the library's chunk
+    budget."""
     if rows is None:
         return nullcontext()
-    return mock.patch.object(baselines, "_SMOOTHED_CHUNK", rows * n_valid)
+    return mock.patch.object(_pairwise, "_SIGMOID_CHUNK", rows * n_valid)
+
+
+def per_pair_sigmoid():
+    """A mock of ``_pairwise.step_value`` whose ``called`` says whether
+    ``sigmoid_rows`` took one bounded ``exp`` per pair (past the separable
+    span) instead of the separable factors."""
+    return mock.patch.object(_pairwise, "step_value", wraps=_pairwise.step_value)
+
+
+def smoothed_ap_longdouble(batch, cfg):
+    """The smoothed AP objective and its score gradient in long double,
+    written out densely: sigmoid block, then the quotient rule applied to
+    each row's Jacobians of num_i and denom_i."""
+    labels = batch.labels
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    p, cols = pos.shape[0], np.concatenate([pos, neg])
+    grad = np.zeros(labels.shape[0], np.longdouble)
+    if p == 0 or neg.shape[0] == 0:
+        return np.longdouble(0.0), grad
+    s, k = batch.scores.astype(np.longdouble), np.longdouble(cfg.k)
+    z = (s[cols][None, :] - s[pos][:, None]) / k
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1, e) / (1 + e)
+    dsig = e / (1 + e) ** 2 / k
+    own = np.eye(p, cols.shape[0], dtype=bool)
+    sig[own] = 0
+    dsig[own] = 0
+    is_neg = np.arange(cols.shape[0]) >= p
+    num, denom = (sig * is_neg).sum(axis=1), 1 + sig.sum(axis=1)
+    # Row i's own positive enters every difference of the row with a minus sign.
+    j_num = dsig * is_neg
+    j_num[own] = -j_num.sum(axis=1)
+    j_den = dsig.copy()
+    j_den[own] = -dsig.sum(axis=1)
+    value = (num / denom).sum() / p
+    grad[cols] = (j_num / denom[:, None] - (num / denom**2)[:, None] * j_den).sum(axis=0) / p
+    if cfg.log_space:
+        scale = 1 / (1 - value + np.longdouble(cfg.epsilon))
+        return -np.log(1 - value + np.longdouble(cfg.epsilon)), grad * scale
+    return value, grad
 
 
 def trace_digest(trace):

@@ -1,9 +1,7 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 
-from ranklosslab import baselines
+from ranklosslab import _pairwise
 from ranklosslab import (
     SampleBatch,
     SmoothedApConfig,
@@ -12,7 +10,13 @@ from ranklosslab import (
     smoothed_ap_loss_and_grad,
     softmax_error_driven,
 )
-from helpers import central_diff, random_batch_arrays, smoothed_chunk_rows
+from helpers import (
+    central_diff,
+    per_pair_sigmoid,
+    random_batch_arrays,
+    sigmoid_chunk_rows,
+    smoothed_ap_longdouble,
+)
 
 
 class TestSmoothedAp:
@@ -75,8 +79,8 @@ class TestSmoothedAp:
     @pytest.mark.parametrize(
         "span, separable",
         [
-            (baselines._SEPARABLE_SPAN * (1 - 1e-9), True),
-            (baselines._SEPARABLE_SPAN * (1 + 1e-9), False),
+            (_pairwise._SEPARABLE_SPAN * (1 - 1e-9), True),
+            (_pairwise._SEPARABLE_SPAN * (1 + 1e-9), False),
             (720.0, False),
             (4e4, False),
         ],
@@ -92,13 +96,11 @@ class TestSmoothedAp:
         half = span * cfg.k / 2
         scores = np.array([half, -half, 0.3, half, -half, -0.2, 0.1])
         labels = [1, 1, 1, 0, 0, 0, 0]
-        ref_loss, ref_grad = baselines._smoothed_direct(scores, 3, cfg)
+        ref_loss, ref_grad = smoothed_ap_longdouble(SampleBatch(scores, labels), cfg)
         for rows in (None, 1, 2):
-            with smoothed_chunk_rows(rows, scores.shape[0]), mock.patch.object(
-                baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
-            ) as direct:
+            with sigmoid_chunk_rows(rows, scores.shape[0]), per_pair_sigmoid() as per_pair:
                 loss, grad = smoothed_ap_loss_and_grad(SampleBatch(scores, labels), cfg)
-            assert direct.called != separable
+            assert per_pair.called != separable
             assert np.isfinite(loss) and np.isfinite(grad).all()
             np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0.0)
             assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15

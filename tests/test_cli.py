@@ -244,6 +244,19 @@ run:
         assert (out_dir / "bench_scaling.csv").exists()
         assert "median pruned-path time" in capsys.readouterr().out
 
+    def test_dataset_with_nothing_to_rank(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.yaml"
+        cfg.write_text(
+            "synth: {dim: 4, positives: 0, negatives: 50}\n"
+            "train: {error_driven_ap: {max_iters: 5, step: {kind: piecewise}}}\n"
+        )
+        rc = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert "nan" not in captured.out
+        assert "bench: 0 iterations, nothing to rank" in captured.out
+
     def test_config_settings_the_bench_would_ignore_are_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bench.yaml"
         cfg.write_text(

@@ -38,10 +38,10 @@ from ranklosslab import (
     step_value,
     surrogate_loss,
 )
-from ranklosslab import baselines, gradients
+from ranklosslab import gradients
 from ranklosslab._pairwise import RankView, column_counts, diff_block, diffs, rank_counts
 from ranklosslab.trainer import _inseparable_grad
-from helpers import smoothed_chunk_rows
+from helpers import per_pair_sigmoid, sigmoid_chunk_rows, smoothed_ap_longdouble
 
 STEPS = (
     StepConfig.heaviside(),
@@ -305,8 +305,8 @@ def standalone_accelerated(scores, pos, neg, step, opts):
         kept = neg[diff > -step.delta if step.kind == "piecewise" else diff >= 0.0]
     order = np.argsort(scores[pos], kind="stable")
     if step.kind == "sigmoid":
-        loss, contrib, neg_grad, _ = gradients._row_loop_core(
-            scores, pos, order, kept, step, opts.interpolated
+        loss, contrib, neg_grad, _ = gradients._sigmoid_core(
+            scores[pos[order]], scores[kept], step.k, opts.interpolated
         )
     else:
         neg_order = np.argsort(scores[kept])
@@ -379,39 +379,6 @@ def test_rank_view_keeps_the_standalone_bits(kind, data, step, interpolated, nor
     assert_same_bits(ap_loss(batch), expected)
 
 
-def smoothed_ap_longdouble(batch, cfg):
-    """The smoothed AP objective and its score gradient in long double,
-    written out densely: sigmoid block, then the quotient rule applied to
-    each row's Jacobians of num_i and denom_i."""
-    labels = batch.labels
-    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
-    p, cols = pos.shape[0], np.concatenate([pos, neg])
-    grad = np.zeros(labels.shape[0], np.longdouble)
-    if p == 0 or neg.shape[0] == 0:
-        return np.longdouble(0.0), grad
-    s, k = batch.scores.astype(np.longdouble), np.longdouble(cfg.k)
-    z = (s[cols][None, :] - s[pos][:, None]) / k
-    e = np.exp(-np.abs(z))
-    sig = np.where(z >= 0, 1, e) / (1 + e)
-    dsig = e / (1 + e) ** 2 / k
-    own = np.eye(p, cols.shape[0], dtype=bool)
-    sig[own] = 0
-    dsig[own] = 0
-    is_neg = np.arange(cols.shape[0]) >= p
-    num, denom = (sig * is_neg).sum(axis=1), 1 + sig.sum(axis=1)
-    # Row i's own positive enters every difference of the row with a minus sign.
-    j_num = dsig * is_neg
-    j_num[own] = -j_num.sum(axis=1)
-    j_den = dsig.copy()
-    j_den[own] = -dsig.sum(axis=1)
-    value = (num / denom).sum() / p
-    grad[cols] = (j_num / denom[:, None] - (num / denom**2)[:, None] * j_den).sum(axis=0) / p
-    if cfg.log_space:
-        scale = 1 / (1 - value + np.longdouble(cfg.epsilon))
-        return -np.log(1 - value + np.longdouble(cfg.epsilon)), grad * scale
-    return value, grad
-
-
 @st.composite
 def outlier_batches(draw):
     """Quarter ticks plus one valid sample at +-720, past the separable span for k <= 1."""
@@ -432,16 +399,34 @@ SMOOTHED_CFGS = tuple(
 @given(st.data(), st.sampled_from(SMOOTHED_CFGS), st.sampled_from((None, 1, 3)))
 def test_smoothed_ap_matches_the_long_double_definition(kind, data, cfg, chunk_rows):
     # Within 1e-9 of the largest reference entry; exact zeros are not
-    # required to match, as the direct form rounds gradients of 1e-20 to 0.
-    # The separable path also runs in chunks of one and of three block rows.
+    # required to match, as the per-pair form rounds gradients of 1e-20 to 0.
+    # The block also runs in chunks of one and of three rows.
     batch = data.draw(SMOOTHED_KINDS[kind])
     n_valid = int((batch.labels >= 0).sum())
-    with smoothed_chunk_rows(chunk_rows, n_valid), mock.patch.object(
-        baselines, "_smoothed_direct", wraps=baselines._smoothed_direct
-    ) as direct:
+    with sigmoid_chunk_rows(chunk_rows, n_valid), per_pair_sigmoid() as per_pair:
         loss, grad = smoothed_ap_loss_and_grad(batch, cfg)
     both_classes = (batch.labels == 1).any() and (batch.labels == 0).any()
-    assert direct.called == (kind == "outlier" and both_classes)
+    assert per_pair.called == (kind == "outlier" and both_classes)
     ref_loss, ref_grad = smoothed_ap_longdouble(batch, cfg)
     assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss) + 1e-15
     assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+
+
+@pytest.mark.parametrize("kind", SMOOTHED_KINDS)
+@PROPERTY
+@given(
+    st.data(),
+    st.sampled_from(tuple(StepConfig.sigmoid(k) for k in (0.25, 0.5, 1.0))),
+    st.booleans(),
+    st.sampled_from((None, 1, 3)),
+)
+def test_sigmoid_path_matches_the_oracles(kind, data, step, interpolated, chunk_rows):
+    # The sigmoid error-driven gradient reads the same block rows as the
+    # smoothed baseline: separable within the span, per pair past it (the
+    # +-720 outliers), at the default chunk and at one and three rows.
+    batch = data.draw(SMOOTHED_KINDS[kind])
+    n_valid = int((batch.labels >= 0).sum())
+    with sigmoid_chunk_rows(chunk_rows, n_valid), per_pair_sigmoid() as per_pair:
+        assert_matches_the_oracles(batch, step, interpolated, prune=True)
+    both_classes = (batch.labels == 1).any() and (batch.labels == 0).any()
+    assert per_pair.called == (kind == "outlier" and both_classes)

@@ -630,7 +630,7 @@ PINNED_TRACES = {
     ),
     "ed_sigmoid_interpolated": (
         _OVERLAP, True, dict(step_cfg=_SIG, grad_opts=GradOptions(True, True, False), max_iters=30),
-        "c207918d6481269866aba2dc578c5f4d76f6347a90b8bfe27f2d0e6f7850c817",
+        "71b21242f4ba913a4567024173d6ebc8b910f172370832f14d1047e7af4e6abd",
     ),
     "smoothed_log_space": (
         _OVERLAP, True,
