@@ -1,13 +1,16 @@
-"""The pairwise block behind the soft-step losses, and a rank view for the hard step.
+"""The dense pairwise block, a rank view for the hard step, and the sigmoid rows.
 
 Row i belongs to positive ``pos[i]``.  Columns run over the positives
 first, then the negatives, so row i's own column is column i; the rank
 denominator 1 + sum_{k != i} step(s_k - s_i) excludes exactly that
-column.  The soft-step (ramp, sigmoid) losses, updates and baselines,
-the gradient oracles and ``primary_terms`` take this layout from here
-(``columns``, ``diffs``) so that it is decided in one place; the
-AUC-style loss and the ramp-integral sums need no denominator and take
-``diff_block`` over the negatives alone.
+column.  This layout is decided here (``columns``): ``primary_terms``
+builds one row of it, ``sigmoid_rows`` and the smoothed baseline take
+its column order, and only the gradient oracles build the whole block
+(``diffs``, ``rank_denominators``).  The soft-step AUC loss and update,
+the margin-modified update and the ramp-integral sums need no
+denominator and build ``diff_block`` over the negatives alone.  No other
+loss value builds a P x n block: every AP-style value comes from the rank
+view's counts, the accelerated gradient's band kernel or ``sigmoid_rows``.
 
 Under the Heaviside every such sum is an integer count, and the rank view
 reads it off each class's sorted scores in O(n log n) instead of building

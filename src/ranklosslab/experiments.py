@@ -61,6 +61,13 @@ def thread_count() -> int:
     return value
 
 
+def _at_least_one(**counts: int) -> None:
+    """Raise a ValueError naming the first count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def child_seed(base: int, *keys: int) -> int:
     """Derive an independent 64-bit stream seed from (base, keys)."""
     seq = np.random.SeedSequence([int(base), *map(int, keys)])
@@ -114,8 +121,9 @@ class ExperimentSpec:
     timing: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+        _at_least_one(repetitions=self.repetitions)
+        if self.negatives_grid is not None and not self.negatives_grid:
+            raise ValueError("negatives_grid must hold at least one negatives count")
         if not self.train:
             raise ValueError("at least one training config is required")
         for key, cfg in self.train.items():
@@ -245,6 +253,7 @@ def run_gradcheck(
     off must match the brute-force double loop, and with interpolation on
     must match the dense reference, within ``rtol`` relative error.
     """
+    _at_least_one(batches=batches)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     configs = [
         StepConfig.heaviside(),
@@ -374,6 +383,7 @@ def run_bounds(
     for randomly scaled comparator vectors.  Returns one row per
     (run, comparator).
     """
+    _at_least_one(runs=runs, u_per_run=u_per_run)
     rows = []
     for r in range(runs):
         synth = SynthConfig(
@@ -422,6 +432,7 @@ def surrogate_domination_slack(instances: int = 200, delta: float = 1.0, seed: i
     Non-negative values certify that the surrogate dominates the scaled
     exact loss on every tested instance.
     """
+    _at_least_one(instances=instances)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     worst = np.inf
     for _ in range(instances):

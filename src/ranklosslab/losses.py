@@ -8,6 +8,13 @@ pair equally.  Ties count against the positive: a negative scoring exactly
 equal to a positive is treated as ranked above it, which makes both losses
 deterministic on tied inputs.
 
+Each value takes one route.  The hard-step AP and AUC losses are the rank
+view's counts (``_pairwise.rank_counts``); the ramp and sigmoid AP losses
+are ``grad_accelerated``'s loss without pruning; ``exact_metrics`` reads
+all three numbers off one rank view, the interpolated AP through the
+accelerated band kernel.  ``primary_terms`` builds one row of the pairwise
+block, and only the soft-step AUC loss builds a positives-by-negatives one.
+
 Loss values are 0 whenever a batch has no positives or no negatives, since
 no misorderable pair exists.
 """
@@ -20,26 +27,23 @@ import numpy as np
 
 from . import _pairwise
 from .batch import SampleBatch, partition
-from .gradients import grad_reference
+from .gradients import GradOptions, _accelerated_core, grad_accelerated
 from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig, step_value
 
 
-def _ap_rows(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
-    """Per-positive numerators (sum over negatives), rank denominators, and
-    the positives-by-valid step matrix they come from."""
-    f = step_value(_pairwise.diffs(scores, pos, neg), cfg)
-    return f[:, pos.shape[0]:].sum(axis=1), _pairwise.rank_denominators(f), f
-
-
-def _ap_loss_core(view: _pairwise.RankView, cfg: StepConfig) -> float:
+def _ap_loss_core(view: _pairwise.RankView) -> float:
     pos, neg = view.pos, view.neg
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
-    if cfg.kind == HEAVISIDE_KIND:
-        num, denom = _pairwise.rank_counts(view)
-    else:
-        num, denom, _ = _ap_rows(view.scores, pos, neg, cfg)
+    num, denom = _pairwise.rank_counts(view)
     return float((num / denom).sum() / pos.shape[0])
+
+
+def _auc_loss_core(view: _pairwise.RankView) -> float:
+    pos, neg = view.pos, view.neg
+    if pos.shape[0] == 0 or neg.shape[0] == 0:
+        return 0.0
+    return float(_pairwise.rank_counts(view)[0].sum() / (pos.shape[0] * neg.shape[0]))
 
 
 def _auc_steps(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
@@ -52,14 +56,16 @@ def primary_terms(batch: SampleBatch, i: int, cfg: StepConfig = HEAVISIDE) -> np
 
     Returns step(s_j - s_i) / (1 + sum_{k != i} step(s_k - s_i)) for every
     negative j, in negative-index order.  Each term lies in [0, 1] and the
-    row sums to at most 1.
+    row sums to at most 1.  Only row i of the pairwise block is built, with
+    the block's own floats.
     """
     pos, neg = partition(batch)
     if i not in pos:
         raise ValueError(f"sample {i} is not a positive in this batch")
-    _, denom, f = _ap_rows(batch.scores, pos, neg, cfg)
-    row = int(np.searchsorted(pos, i))
-    return f[row, pos.shape[0]:] / denom[row]
+    s = batch.scores
+    f = step_value(s[_pairwise.columns(pos, neg)] - s[i], cfg)
+    own = int(np.searchsorted(pos, i))
+    return f[pos.shape[0]:] / (1.0 + f.sum() - f[own])
 
 
 def ap_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
@@ -70,19 +76,19 @@ def ap_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     steps (ramp, sigmoid) yield the training-mode surrogate used while
     optimizing; exact reporting should pass the Heaviside config.
     """
-    return _ap_loss_core(_pairwise.RankView(batch.scores, *partition(batch)), cfg)
+    if cfg.kind == HEAVISIDE_KIND:
+        return _ap_loss_core(_pairwise.RankView(batch.scores, *partition(batch)))
+    return grad_accelerated(batch, cfg, GradOptions(prune_trivial_negatives=False)).loss
 
 
 def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     """Fraction of misordered positive-negative pairs (ties misordered)."""
     pos, neg = partition(batch)
+    if cfg.kind == HEAVISIDE_KIND:
+        return _auc_loss_core(_pairwise.RankView(batch.scores, pos, neg))
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
-    if cfg.kind == HEAVISIDE_KIND:
-        misordered = _pairwise.rank_counts(_pairwise.RankView(batch.scores, pos, neg))[0].sum()
-    else:
-        misordered = _auc_steps(batch.scores, pos, neg, cfg).sum()
-    return float(misordered / (pos.shape[0] * neg.shape[0]))
+    return float(_auc_steps(batch.scores, pos, neg, cfg).sum() / (pos.shape[0] * neg.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,7 @@ class RankMetrics:
 
 
 def exact_metrics(batch: SampleBatch) -> RankMetrics:
-    """Compute all hard-step metrics of a batch, for reporting."""
-    return RankMetrics(
-        ap_loss=ap_loss(batch),
-        auc_loss=auc_loss(batch),
-        interpolated_ap_loss=grad_reference(batch, HEAVISIDE, interpolated=True).loss,
-    )
+    """Compute all hard-step metrics of a batch, for reporting, from one rank view."""
+    view = _pairwise.RankView(batch.scores, *partition(batch), 0.0, True)
+    interpolated = _accelerated_core(view, HEAVISIDE, GradOptions(interpolated=True))
+    return RankMetrics(_ap_loss_core(view), _auc_loss_core(view), interpolated.loss)

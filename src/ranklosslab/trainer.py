@@ -311,7 +311,7 @@ def train(
         for it in range(1, cfg.max_iters + 1):
             scores = _finite_scores(features, theta, it, cfg.loss_kind)
             views = [RankView(scores[rows], pos, neg, cut, ordered) for rows, pos, neg in batches]
-            losses = [_ap_loss_core(view, HEAVISIDE) for view in views]
+            losses = [_ap_loss_core(view) for view in views]
             chosen = 0
             if per_group:
                 erring = [k for k, v in enumerate(losses) if v > 0.0]
@@ -342,9 +342,7 @@ def train(
             theta -= eta * (features[rows].T @ grad)
 
         final_scores = _finite_scores(features, theta, it + 1, cfg.loss_kind)
-    trace.final_joint_ap_loss = _ap_loss_core(
-        RankView(final_scores, joint_pos, joint_neg), HEAVISIDE
-    )
+    trace.final_joint_ap_loss = _ap_loss_core(RankView(final_scores, joint_pos, joint_neg))
     return LinearModel(theta), trace
 
 

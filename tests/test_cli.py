@@ -137,6 +137,12 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "gradcheck ok" in out
 
+    def test_negative_batch_count_fails(self, capsys):
+        assert main(["gradcheck", "--batches", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert "gradcheck ok" not in captured.out
+        assert "batches must be at least 1" in captured.err
+
 
 class TestTrainCommand:
     def test_with_config(self, tmp_path, capsys):
@@ -200,6 +206,14 @@ class TestSweepCommand:
         lines = (out_dir / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + two grid points
 
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(CONFIG.replace("repetitions: 1", "repetitions: 1\n  negatives_grid: []"))
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        assert "negatives_grid" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestCounterexampleCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -219,6 +233,14 @@ class TestBoundsCommand:
         assert rc == 0
         assert "0 violations" in capsys.readouterr().out
         assert (tmp_path / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("option,name", [("--runs", "runs"), ("--u-count", "u_per_run")])
+    def test_zero_count_fails_without_writing(self, option, name, tmp_path, capsys):
+        assert main(["bounds", option, "0", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "comparators" not in captured.out
+        assert f"{name} must be at least 1" in captured.err
+        assert not (tmp_path / "bounds.csv").exists()
 
 
 class TestBenchCommand:

@@ -95,6 +95,10 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_spec(tmp_path, reps=0)
 
+    def test_empty_negatives_grid_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="negatives_grid"):
+            small_spec(tmp_path, grid=())
+
     def test_train_key_must_be_its_loss_kind(self, tmp_path):
         # Output files are named by the key, so a mismatch would write the
         # error-driven run as an "auc" row and trace.
@@ -155,6 +159,25 @@ class TestBounds:
 
     def test_domination_slack_nonnegative(self):
         assert surrogate_domination_slack(instances=40, seed=5) >= 0.0
+
+
+class TestCountsBelowOne:
+    # A count below 1 would run nothing and look like success.
+    @pytest.mark.parametrize(
+        "call,name",
+        [
+            (lambda out: run_gradcheck(batches=-3), "batches"),
+            (lambda out: run_gradcheck(batches=0), "batches"),
+            (lambda out: run_bounds(runs=0, out_dir=out), "runs"),
+            (lambda out: run_bounds(u_per_run=0, out_dir=out), "u_per_run"),
+            (lambda out: surrogate_domination_slack(instances=0), "instances"),
+        ],
+        ids=["gradcheck-negative", "gradcheck-zero", "runs", "u_per_run", "instances"],
+    )
+    def test_raises_naming_the_argument_before_any_work(self, call, name, tmp_path):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            call(tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestBench:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,34 @@ class TestExactMetrics:
                 assert 0.0 <= v <= 1.0
             # Interpolation can only lower per-positive contributions.
             assert m.interpolated_ap_loss <= m.ap_loss + 1e-12
+
+
+class TestMemory:
+    # At 50:50,000 one positives-by-valid block of doubles takes 20 MB, so
+    # no route here may build one.  The rank view, the band kernel, the
+    # sigmoid row chunks and a single row stay near a few arrays of n doubles.
+    @pytest.fixture(scope="class")
+    def batch(self):
+        rng = np.random.default_rng(0)
+        labels = np.repeat([1, 0], [50, 50_000])  # sample 0 is a positive
+        return SampleBatch(rng.standard_normal(labels.shape[0]) * 2.0, labels)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: ap_loss(b, StepConfig.piecewise(1.0)),
+            lambda b: ap_loss(b, StepConfig.sigmoid(0.5)),
+            lambda b: primary_terms(b, 0, StepConfig.piecewise(1.0)),
+            lambda b: primary_terms(b, 0, StepConfig.sigmoid(0.5)),
+            exact_metrics,
+        ],
+        ids=["ramp-ap", "sigmoid-ap", "ramp-primary", "sigmoid-primary", "exact"],
+    )
+    def test_peak_stays_below_8_mb(self, batch, call):
+        tracemalloc.start()
+        try:
+            call(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"

@@ -29,10 +29,12 @@ from ranklosslab import (
     auc_grad,
     auc_loss,
     ap_loss,
+    exact_metrics,
     grad_accelerated,
     grad_bruteforce,
     grad_reference,
     partition,
+    primary_terms,
     ramp_integral,
     smoothed_ap_loss_and_grad,
     step_value,
@@ -161,6 +163,9 @@ def test_hard_step_losses_keep_the_dense_bits(batch):
         grad[neg] = g.sum(axis=0) * scale
     assert_same_bits(ap_loss(batch), ap)
     assert_same_bits(auc_loss(batch), auc)
+    metrics = exact_metrics(batch)  # one pruned rank view for both counts
+    assert_same_bits(metrics.ap_loss, ap)
+    assert_same_bits(metrics.auc_loss, auc)
     value, update = auc_grad(batch)
     assert_same_bits(value, auc_value)
     assert_same_bits(update, grad)
@@ -214,9 +219,27 @@ BATCH_KINDS = {"ticks": batches(), "extremes": extreme_batches(), "offset": offs
 CHUNKS = (gradients._BAND_CHUNK, 3)
 
 
+@OVERFLOW_OK
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@PROPERTY
+@given(st.data(), st.sampled_from(STEPS))
+def test_primary_terms_keep_the_dense_row_bits(kind, data, step):
+    # Each positive's row of the dense block over pos-then-neg columns,
+    # divided by that row's rank denominator.
+    batch = data.draw(BATCH_KINDS[kind])
+    pos, neg = partition(batch)
+    f = step_value(diffs(batch.scores, pos, neg), step)
+    denom = 1.0 + f.sum(axis=1) - f.diagonal()
+    for row, i in enumerate(pos):
+        assert_same_bits(primary_terms(batch, int(i), step), f[row, pos.shape[0]:] / denom[row])
+
+
 def assert_matches_the_oracles(batch, step, interpolated, prune):
     """Within 1e-9 of ``grad_reference`` (and of ``grad_bruteforce`` without
-    interpolation), and exactly zero wherever the oracle is."""
+    interpolation), and exactly zero wherever the oracle is.  The public
+    losses that read the same kernel agree with the oracles' loss within
+    1e-12: ``ap_loss`` at this step, and the interpolated loss of
+    ``exact_metrics`` at the hard step."""
     res = grad_accelerated(
         batch, step, GradOptions(interpolated=interpolated, prune_trivial_negatives=prune)
     )
@@ -229,6 +252,11 @@ def assert_matches_the_oracles(batch, step, interpolated, prune):
         np.testing.assert_allclose(res.grad, grad, rtol=1e-9, atol=0.0)
         np.testing.assert_array_equal(res.grad == 0.0, grad == 0.0)
     np.testing.assert_allclose(res.precisions, ref.precisions, rtol=1e-9, atol=0.0)
+    if not interpolated:
+        np.testing.assert_allclose(ap_loss(batch, step), oracles[1][0], rtol=1e-12, atol=0.0)
+    elif step.kind == "heaviside":
+        value = exact_metrics(batch).interpolated_ap_loss
+        np.testing.assert_allclose(value, ref.loss, rtol=1e-12, atol=0.0)
 
 
 @OVERFLOW_OK
