@@ -107,10 +107,11 @@ class ExperimentSpec:
     """One experiment: a generator config plus a trainer config per loss.
 
     ``negatives_grid`` widens the run into an imbalance sweep; ``None``
-    means a single run at ``synth.negatives``.  ``timing`` opts into
-    measured wall-clock columns (sacrificing byte-reproducibility of the
-    output files).  Each ``train`` key must be its entry's ``loss_kind``,
-    which names the output files.
+    means a single run at ``synth.negatives``.  Each grid count is one run
+    and one trace, so it is at least 1 and appears once.  ``timing`` opts
+    into measured wall-clock columns (sacrificing byte-reproducibility of
+    the output files).  Each ``train`` key must be its entry's
+    ``loss_kind``, which names the output files.
     """
 
     synth: SynthConfig
@@ -124,6 +125,11 @@ class ExperimentSpec:
         _at_least_one(repetitions=self.repetitions)
         if self.negatives_grid is not None and not self.negatives_grid:
             raise ValueError("negatives_grid must hold at least one negatives count")
+        grid = self.negatives_grid or ()
+        for count in grid:
+            _at_least_one(**{"negatives_grid entry": count})
+            if grid.count(count) > 1:
+                raise ValueError(f"negatives_grid repeats {count}: each count is one run")
         if not self.train:
             raise ValueError("at least one training config is required")
         for key, cfg in self.train.items():
@@ -169,9 +175,12 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
     which case one worker runs them in turn so measurements do not contend.
     When a task raises, every other task still runs, the finished ones are
     written (``results.csv`` then holds only their rows), and the first
-    error in task order is raised again.
+    error in task order is raised again.  Every run needs a positive and a
+    negative, or it would report the loss of a perfect ranking; without
+    them nothing runs.
     """
     grid = spec.negatives_grid or (spec.synth.negatives,)
+    _at_least_one(positives=spec.synth.positives, negatives=min(grid))
     tasks = [
         (loss, n_neg, rep)
         for loss in sorted(spec.train)

@@ -17,8 +17,9 @@ gradient.  Three routes compute it:
   loss and the update alike.  For the hard step and the ramp the view
   only counts the trivial negatives and sorts the rest; against each
   positive, the terms outside the step's transition band are exactly 0
-  or 1 and are only counted, the band terms are evaluated on the actual
-  differences, and the negatives' gradient goes back through the view's
+  or 1 and are only counted, and the band terms are evaluated on the
+  actual differences, a group of positives in one pass and tied
+  positives once.  The negatives' gradient goes back through the view's
   order in one scatter, so a call costs O(n) plus O(k log k) for the k
   kept negatives, plus the band pairs.  The sigmoid, whose transition has
   no bounded width, reduces the rows of ``_pairwise.sigmoid_rows`` in
@@ -28,6 +29,7 @@ gradient.  Three routes compute it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,40 +170,43 @@ def _cut(cfg: StepConfig, opts: GradOptions) -> float | None:
     return cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
 
 
-# Band pairs handed to one ``step_value`` call on the sorted-band path:
-# temporaries stay near one row's worth even when every pair is in a band.
-_BAND_CHUNK = 1 << 12
+# Band pairs evaluated together as one row group: each of the group's
+# temporaries takes 64 kB, and a band that fills a group alone is evaluated
+# on its own slice of the sorted scores, with no index arrays.  Over the
+# kernel's calls in the error-driven sweep at 1:1000, bounds of 2^12 and
+# 2^14 were slower.
+_GROUP_PAIRS = 1 << 13
 
 
-def _band_chunks(sorted_scores, s, lo, hi, cfg):
-    """Yield (start, stop, rows, cols, f) over consecutive row ranges that
-    cover every row, about ``_BAND_CHUNK`` band pairs at a time.
-
-    f = step(sorted_scores[cols] - s[row]) for each pair, the floats the
-    oracles compute.  A band that fills a chunk alone comes as a slice
-    with ``rows`` None; otherwise ``rows`` holds each pair's row offset
-    from ``start``.
-    """
+def _band_groups(t, s, lo, hi, cfg):
+    """Yield (a, b, f, sums, cols) over row groups: rows a..b-1 whose bands
+    [lo_i, hi_i) of the ascending ``t`` hold at most ``_GROUP_PAIRS`` pairs
+    together, or one wider band alone.  f = step(t_j - s_i), the floats
+    the oracles compute, for each row i and each j in its band, row after
+    row; ``sums`` holds each row's sum of them, and ``cols`` each term's
+    index into t[lo[a]:], or is None for a band alone, whose terms are
+    those of t[lo[a]:hi[a]].  Both edges must ascend with the rows."""
     sizes = hi - lo
-    ends = np.cumsum(sizes)
+    ends = np.add.accumulate(sizes)
     starts = ends - sizes
-    start = 0
-    while start < s.shape[0]:
-        stop = max(start + 1, int(ends.searchsorted(starts[start] + _BAND_CHUNK, side="right")))
-        if stop == start + 1:
-            rows, cols = None, slice(lo[start], hi[start])
-            x = sorted_scores[cols] - s[start]
+    shift = lo - starts
+    a = 0
+    while a < s.shape[0]:
+        b = max(a + 1, int(ends.searchsorted(starts[a] + _GROUP_PAIRS, "right")))
+        if b == a + 1:
+            f = step_value(t[lo[a] : hi[a]] - s[a], cfg)
+            yield a, b, f, f.sum(), None
         else:
-            rows = np.repeat(np.arange(stop - start), sizes[start:stop])
-            shift = lo[start:stop] - starts[start:stop] + starts[start]
-            cols = np.arange(rows.shape[0]) + shift[rows]
-            x = sorted_scores[cols] - s[start:stop][rows]
-        yield start, stop, rows, cols, step_value(x, cfg)
-        start = stop
-
-
-def _row_sums(start, stop, rows, f):
-    return f.sum() if rows is None else np.bincount(rows, weights=f, minlength=stop - start)
+            n = sizes[a:b]
+            cols = np.arange(starts[a] - lo[a], ends[b - 1] - lo[a]) + np.repeat(shift[a:b], n)
+            f = step_value(t[lo[a] :][cols] - np.repeat(s[a:b], n), cfg)
+            # np.add.reduceat reads an empty band as the next band's first
+            # term, so only the rows with a term are reduced.
+            some = n > 0
+            sums = np.zeros(b - a)
+            sums[some] = np.add.reduceat(f, starts[a:b][some] - starts[a])
+            yield a, b, f, sums, cols
+        a = b
 
 
 def _precisions(num, denom, interpolated, max_prec):
@@ -228,48 +233,67 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     Each positive's band holds the scores within the step's half-width (0
     for the Heaviside) plus a few ulps; every term outside it is exactly 0
     below and exactly 1 above, so it is only counted, and the band terms
-    are evaluated on the actual differences.  Returns the loss, the
-    per-positive contributions, the negatives' gradient in ``t`` order and
-    the precisions, all unnormalized.
+    are evaluated on the actual differences, a row group at a time
+    (``_band_groups``): one step evaluation, one reduction to row sums,
+    one precision update and one scatter into the negatives' gradient per
+    group.  Tied positives have the same band and the same terms, so each
+    distinct score is one row, and the scatter takes the sum of its tied
+    positives' weights.  Returns the loss, the per-positive contributions,
+    the negatives' gradient in ``t`` order and the precisions, all
+    unnormalized.
     """
     p, m = s_pos.shape[0], t.shape[0]
     h = cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
-    # The few ulps cover the rounding of s_i -+ width.  np.spacing of the
-    # largest double is inf: such a band takes in every score.
+    # The distinct scores and, when two positives tie, each one's count.
+    s, counts = s_pos, None
+    new = s_pos[1:] != s_pos[:-1]
+    if not new.all():
+        runs = np.flatnonzero(np.concatenate([[True], new]))
+        s, counts = s_pos[runs], np.diff(runs, append=p)
+    # One half-width for every row: the step's plus a few ulps of the
+    # largest score, which cover the rounding of s_i -+ width, so both band
+    # edges ascend with the rows.  Only scores past about 1e15, whose ulp
+    # exceeds 0.1, widen a band by more than a rounding error; past the
+    # largest double the width is inf, and every band takes in every score.
+    width = h + 4.0 * math.ulp(max(-float(s[0]), float(s[-1])) + h)
     with np.errstate(over="ignore"):
-        width = h + 4.0 * np.spacing(np.minimum(np.abs(s_pos) + h, np.finfo(np.float64).max))
-        below, above = s_pos - width, s_pos + width
+        below, above = s - width, s + width
 
     # Rank denominators less the negatives: the row's own sample is in its
     # band with the term step(0).
     lo, hi = s_pos.searchsorted(below, "left"), s_pos.searchsorted(above, "right")
-    others = (p - hi) - step_value(0.0, cfg)
-    for start, stop, rows, _, f in _band_chunks(s_pos, s_pos, lo, hi, cfg):
-        others[start:stop] += _row_sums(start, stop, rows, f)
+    others = np.subtract(p - step_value(0.0, cfg), hi)
+    for a, b, _, sums, _ in _band_groups(s_pos, s, lo, hi, cfg):
+        others[a:b] += sums
 
-    # The row loop, a chunk of rows at a time: sums, precisions and the
-    # band's share of the negatives' gradient.
+    # Sums, precisions and the band's share of the negatives' gradient.
     lo, hi = t.searchsorted(below, "left"), t.searchsorted(above, "right")
-    num = (m - hi).astype(np.float64)
-    w, contrib, precs = np.empty(p), np.empty(p), np.empty(p)
-    band_grad = np.zeros(m)
+    num = np.subtract(m, hi, dtype=np.float64)
+    w, contrib, precs = np.empty(s.shape[0]), np.empty(s.shape[0]), np.empty(s.shape[0])
+    g = np.zeros(m)
     max_prec = 0.0
-    for start, stop, rows, cols, f in _band_chunks(t, s_pos, lo, hi, cfg):
-        chunk = slice(start, stop)
-        num[chunk] += _row_sums(start, stop, rows, f)
-        w[chunk], contrib[chunk], precs[chunk], max_prec = _precisions(
-            num[chunk], 1.0 + others[chunk] + num[chunk], interpolated, max_prec
+    for a, b, f, sums, cols in _band_groups(t, s, lo, hi, cfg):
+        num[a:b] += sums
+        w[a:b], contrib[a:b], precs[a:b], max_prec = _precisions(
+            num[a:b], 1.0 + others[a:b] + num[a:b], interpolated, max_prec
         )
-        if rows is None:
-            band_grad[cols] += f * w[start]
-        elif rows.shape[0]:
-            first, last = lo[chunk].min(), hi[chunk].max()
-            band_grad[first:last] += np.bincount(
-                cols - first, weights=f * w[chunk][rows], minlength=last - first
+        weight = w[a:b]
+        if counts is not None:
+            # Each distinct score's weight, added up over its tied positives
+            # one at a time, as a scatter of each positive's row would.
+            run = np.repeat(np.arange(b - a), counts[a:b])
+            weight = np.bincount(run, weights=weight[run])
+        if cols is None:
+            g[lo[a] : hi[a]] += f * weight[0]
+        else:
+            g[lo[a] : hi[b - 1]] += np.bincount(
+                cols, weights=f * np.repeat(weight, hi[a:b] - lo[a:b]), minlength=hi[b - 1] - lo[a]
             )
+    if counts is not None:
+        w, contrib, precs, hi = (np.repeat(x, counts) for x in (w, contrib, precs, hi))
     # Above its band each positive adds w_i to every negative: a difference
     # array over the sorted negatives, summed once.
-    g = np.bincount(hi, weights=w, minlength=m + 1).cumsum()[:-1] + band_grad
+    g += np.bincount(hi, weights=w, minlength=m + 1).cumsum()[:-1]
     return float(contrib.sum()), contrib, g, precs
 
 
@@ -327,12 +351,12 @@ def grad_accelerated(
     Memory stays linear in the batch.  For the hard step and the ramp the
     surviving negatives are sorted once; each positive's sums and terms
     are counts outside its transition band plus the band's own terms,
-    evaluated a bounded chunk of pairs at a time.  For the sigmoid, a few
-    whole rows at a time (positives in ascending score order) are built,
-    consumed, and dropped.  With interpolation off
-    the output matches ``grad_bruteforce`` up to rounding; with it on,
-    each row whose precision falls below the running maximum is rescaled
-    so recorded precisions never decrease.
+    evaluated a bounded group of positives at a time, tied positives
+    once.  For the sigmoid, a few whole rows at a time (positives in
+    ascending score order) are built, consumed, and dropped.  With
+    interpolation off the output matches ``grad_bruteforce`` up to
+    rounding; with it on, each row whose precision falls below the running
+    maximum is rescaled so recorded precisions never decrease.
     """
     pos, neg = partition(batch)
     view = _pairwise.RankView(batch.scores, pos, neg, _cut(cfg, opts), cfg.kind != SIGMOID_KIND)

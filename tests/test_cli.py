@@ -179,6 +179,17 @@ train:
         for name in ("results.csv", "trace_auc_n40_r0.csv"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
+    @pytest.mark.parametrize("field", ["positives", "negatives"])
+    def test_dataset_with_nothing_to_rank_rejected(self, field, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(CONFIG.replace(f"  {field}: ", f"  {field}: 0 #"))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert f"{field} must be at least 1, got 0" in captured.err
+        assert "final_ap_loss" not in captured.out
+        assert not out_dir.exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(CONFIG + "\nextra_section: {}\n")
@@ -212,6 +223,28 @@ class TestSweepCommand:
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 1
         assert "negatives_grid" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "grid, positives, message",
+        [("[20, 40, 40]", 5, "negatives_grid repeats 40"),
+         ("[0, 40]", 5, "negatives_grid entry must be at least 1, got 0"),
+         ("[20, 40]", 0, "positives must be at least 1, got 0")],
+        ids=["repeated", "no_negatives", "no_positives"],
+    )
+    def test_grid_point_that_is_not_one_ranking_run_rejected(
+        self, grid, positives, message, tmp_path, capsys
+    ):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            CONFIG.replace("positives: 5", f"positives: {positives}")
+            .replace("repetitions: 1", f"repetitions: 1\n  negatives_grid: {grid}")
+        )
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
         assert not out_dir.exists()
 
 

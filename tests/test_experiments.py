@@ -99,6 +99,29 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="negatives_grid"):
             small_spec(tmp_path, grid=())
 
+    def test_repeated_negatives_grid_entry_rejected(self, tmp_path):
+        # Tasks are keyed by (loss, negatives, rep): a repeated count would
+        # train twice and keep one row and one trace.
+        with pytest.raises(ValueError, match="negatives_grid repeats 40"):
+            small_spec(tmp_path, grid=(20, 40, 40))
+
+    @pytest.mark.parametrize("grid", [(0, 40), (40, -3)])
+    def test_negatives_grid_entry_without_negatives_rejected(self, tmp_path, grid):
+        # A batch with nothing to rank would report a perfect ranking.
+        with pytest.raises(ValueError, match="negatives_grid entry must be at least 1"):
+            small_spec(tmp_path, grid=grid)
+
+    @pytest.mark.parametrize(
+        "field, grid", [("positives", None), ("positives", (20, 40)), ("negatives", None)]
+    )
+    def test_run_needs_a_positive_and_a_negative(self, tmp_path, field, grid):
+        # A batch with nothing to rank would report a perfect ranking.
+        spec = small_spec(tmp_path, grid=grid)
+        spec = replace(spec, synth=replace(spec.synth, **{field: 0}))
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got 0"):
+            run_experiment(spec)
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_key_must_be_its_loss_kind(self, tmp_path):
         # Output files are named by the key, so a mismatch would write the
         # error-driven run as an "auc" row and trace.

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,8 +84,9 @@ class TestSortedBand:
     @pytest.mark.parametrize("cfg", ALL_KINDS[:3], ids=lambda c: f"{c.kind}-{c.delta}")
     @pytest.mark.parametrize("n_neg", [1500, 6000])
     def test_bands_over_many_chunks_match_the_oracle(self, cfg, n_neg):
-        # Scores on a coarse grid give the hard step wide tied bands too;
-        # 1,500 negatives put several bands in a chunk, 6,000 one band.
+        # Scores on a coarse grid tie positives and give the hard step wide
+        # tied bands too.  At 1,500 negatives every band fits one row
+        # group; at 6,000 the ramp's bands fill several, some a band alone.
         rng = np.random.default_rng(9)
         scores = np.round(rng.standard_normal(12 + n_neg) * 4.0) / 4.0
         labels = np.concatenate([np.ones(12, np.int64), np.zeros(n_neg, np.int64)])
@@ -95,6 +97,25 @@ class TestSortedBand:
             np.testing.assert_allclose(res.loss, ref.loss, rtol=1e-9, atol=0.0)
             np.testing.assert_allclose(res.grad, ref.grad, rtol=1e-9, atol=0.0)
             np.testing.assert_allclose(res.precisions, ref.precisions, rtol=1e-9, atol=0.0)
+
+
+class TestMemory:
+    # At 50:50,000 a positives-by-negatives block of doubles takes 20 MB.
+    # With every score tied, as at zero weights, every pair is in a band,
+    # and were tied positives not taken once each temporary would be that
+    # block; the group bound keeps spread bands to a few small arrays.
+    @pytest.mark.parametrize("sd", [0.0, 2.0], ids=["all_tied", "normal_sd2"])
+    def test_ramp_peak_stays_below_8_mb(self, sd):
+        rng = np.random.default_rng(0)
+        labels = np.repeat([1, 0], [50, 50_000])
+        batch = SampleBatch(rng.standard_normal(labels.shape[0]) * sd, labels)
+        tracemalloc.start()
+        try:
+            grad_accelerated(batch, StepConfig.piecewise(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestPruning:

@@ -214,9 +214,10 @@ def offset_batches(draw):
 
 
 BATCH_KINDS = {"ticks": batches(), "extremes": extreme_batches(), "offset": offset_batches()}
-# The default chunk, and one so small that a drawn batch spans many chunks,
-# several of them a single band.
-CHUNKS = (gradients._BAND_CHUNK, 3)
+# Row-group bounds: the default, one so small that a drawn batch spans
+# many groups, several of them a single band, and 1, where every row with a
+# band of more than one pair is a group alone.
+GROUP_BOUNDS = (gradients._GROUP_PAIRS, 3, 1)
 
 
 @OVERFLOW_OK
@@ -263,10 +264,11 @@ def assert_matches_the_oracles(batch, step, interpolated, prune):
 @pytest.mark.parametrize("kind", BATCH_KINDS)
 @PROPERTY
 @given(
-    st.data(), st.sampled_from(BOUNDED_STEPS), st.booleans(), st.booleans(), st.sampled_from(CHUNKS)
+    st.data(), st.sampled_from(BOUNDED_STEPS), st.booleans(), st.booleans(),
+    st.sampled_from(GROUP_BOUNDS),
 )
-def test_band_path_matches_the_oracles(kind, data, step, interpolated, prune, chunk):
-    with mock.patch.object(gradients, "_BAND_CHUNK", chunk):
+def test_band_path_matches_the_oracles(kind, data, step, interpolated, prune, bound):
+    with mock.patch.object(gradients, "_GROUP_PAIRS", bound):
         assert_matches_the_oracles(data.draw(BATCH_KINDS[kind]), step, interpolated, prune)
 
 
@@ -282,6 +284,39 @@ def test_pruning_moves_the_band_path_by_rounding_only(kind, data, step, interpol
     )
     np.testing.assert_allclose(on.loss, off.loss, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(on.grad, off.grad, rtol=1e-12, atol=0.0)
+
+
+def row_group_batch(kind):
+    """Fixed batches for the band kernel's row groups and tied positives,
+    each with ignored samples (-1) tied to positives and negatives."""
+    rng = np.random.default_rng(14)
+    if kind == "all_tied":  # zero weights: every score ties
+        pos, neg = np.zeros(12), np.zeros(150)
+    elif kind == "tie_runs":  # runs of 2 to 5 tied positives among single ones
+        pos = np.repeat([-1.5, -0.25, 0.1, 0.75, 1.875, 2.5], [2, 3, 1, 4, 5, 1])
+        neg = np.round(rng.standard_normal(150) * 4.0) / 4.0
+    else:  # "wide_next_to_narrow": a tied pair in a dense cluster, sparse neighbours
+        pos = np.array([-3.0, -2.875, -0.05, 0.0, 0.0, 0.05, 3.0, 3.125])
+        neg = np.concatenate([rng.uniform(-0.3, 0.3, 140), rng.uniform(-4.0, 4.0, 16)])
+    ignored = np.concatenate([pos[::3], neg[:4]])
+    scores = np.concatenate([pos, neg, ignored])
+    labels = np.repeat([1, 0, -1], [pos.shape[0], neg.shape[0], ignored.shape[0]])
+    order = rng.permutation(scores.shape[0])
+    return SampleBatch(scores[order], labels[order])
+
+
+# Group bounds of 1 (every row with a band of two pairs or more alone), 7
+# (a boundary inside a run of tied rows, were they rows of their own), 60
+# (a wide band alone between groups of narrow ones) and the default.
+@pytest.mark.parametrize("kind", ["all_tied", "tie_runs", "wide_next_to_narrow"])
+@pytest.mark.parametrize("bound", [1, 7, 60, gradients._GROUP_PAIRS])
+@pytest.mark.parametrize("step", BOUNDED_STEPS[:3], ids=lambda c: f"{c.kind}-{c.delta}")
+def test_row_groups_and_tied_positives_match_the_oracles(kind, bound, step):
+    batch = row_group_batch(kind)
+    with mock.patch.object(gradients, "_GROUP_PAIRS", bound):
+        for interpolated in (False, True):
+            for prune in (False, True):
+                assert_matches_the_oracles(batch, step, interpolated, prune)
 
 
 @pytest.mark.parametrize("step", BOUNDED_STEPS, ids=lambda c: f"{c.kind}-{c.delta}")

@@ -615,13 +615,13 @@ PINNED_TRACES = {
     ),
     "ed_ramp_interpolated_unpruned": (
         _SEPARABLE, True, dict(step_cfg=_RAMP, grad_opts=GradOptions(True, False, False)),
-        "a232522c30735c37d1afa64e7a7b13ed70c4f7aeb2ae7c6fa78a905781c0f353",
+        "941ea7c51d8b88d0ca1844318dee256cabd1f1d41f313f45d272271120b81687",
     ),
     "ed_ramp_per_group": (
         _OVERLAP, True,
         dict(step_cfg=_HALF, grad_opts=GradOptions(False, True, False), update_scope="per_group",
              stop_at_zero_loss=False, max_iters=40, seed=3),
-        "652eab8a82795548d4f1b9330c80c84af0539228765ed12e65f7b6f7d9e81727",
+        "55ae9908de41c43ea86560dac1a236ed3754a291f46d327553545147171d4ffa",
     ),
     "ed_heaviside_interpolated_per_group": (
         _SEPARABLE, True,
