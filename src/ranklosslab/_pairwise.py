@@ -26,6 +26,9 @@ consumer at those scores: the exact loss and the hard denominators count
 from it, the accelerated gradient's band kernel and the Heaviside AUC
 update read the negatives' order from it, and the accelerated gradient's
 trivial negatives are the ones below its cut, which are never sorted.
+Every order it holds comes from one sort of packed int64 keys, the score's
+order-preserving bits with the element's index in the low bits, which
+gives the stable order and the sorted scores at once (``_sorted_order``).
 Tied scores are interchangeable in every one of these, so any sort order
 of them gives the same bits.
 
@@ -116,6 +119,33 @@ def sigmoid_rows(
         yield i0, i1, sig, d
 
 
+def _sorted_order(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, s[order]) with ``order`` the stable ascending order of the
+    finite doubles ``s``, from one in-place sort of packed int64 keys.
+
+    A key is the score's order-preserving integer image (-0.0 folded into
+    +0.0, the low 63 bits of a negative score flipped) with its low
+    b = (m - 1).bit_length() bits replaced by the element's index, so the
+    sort orders by score and ties by index, and the order is read back
+    from the low bits.  Two different scores within 2^b ulps can share a
+    key's high bits and come out by index instead; then the gathered
+    scores do not ascend, and a stable ``np.argsort`` gives the order.
+    """
+    m = s.shape[0]
+    keys = (s + 0.0).view(np.int64)  # a fresh array; -0.0 + 0.0 is +0.0
+    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
+    low = (1 << max(m - 1, 0).bit_length()) - 1
+    keys &= ~low
+    keys |= np.arange(m)
+    keys.sort()
+    order = np.bitwise_and(keys, low, out=keys)
+    s_sorted = s[order]
+    if not (s_sorted[1:] >= s_sorted[:-1]).all():
+        order = np.argsort(s, kind="stable")
+        s_sorted = s[order]
+    return order, s_sorted
+
+
 class RankView:
     """A batch's scores with each class sorted once.
 
@@ -128,8 +158,9 @@ class RankView:
     ``neg_order`` their positions in ``neg`` in that order; ``pos_scores``
     holds the positives' scores in ``pos`` order, ``pos_sorted`` ascending
     and ``pos_order`` their stable ascending order (ties by sample index).
-    With ``ordered`` both orders are argsorted up front and the sorted
-    scores gathered through them; otherwise each is argsorted on first use.
+    Every order comes from ``_sorted_order``'s one packed-key sort: with
+    ``ordered`` both orders and the sorted scores up front, otherwise the
+    scores alone are sorted and each order is taken on first use.
     """
 
     __slots__ = (
@@ -156,10 +187,9 @@ class RankView:
             s_neg = s_neg[self._kept]
         self.below = neg.shape[0] - s_neg.shape[0]
         if ordered:
-            self._pos_order = np.argsort(s_pos, kind="stable")
-            order = np.argsort(s_neg)
+            self._pos_order, self.pos_sorted = _sorted_order(s_pos)
+            order, self.neg_sorted = _sorted_order(s_neg)
             self._neg_order = order if self._kept is None else self._kept[order]
-            self.pos_sorted, self.neg_sorted = s_pos[self._pos_order], s_neg[order]
         else:
             self._pos_order = self._neg_order = None
             self.pos_sorted, self.neg_sorted = s_pos.copy(), s_neg
@@ -169,14 +199,14 @@ class RankView:
     @property
     def pos_order(self) -> np.ndarray:
         if self._pos_order is None:
-            self._pos_order = np.argsort(self.pos_scores, kind="stable")
+            self._pos_order = _sorted_order(self.pos_scores)[0]
         return self._pos_order
 
     @property
     def neg_order(self) -> np.ndarray:
         if self._neg_order is None:
             kept = np.arange(self.neg.shape[0]) if self._kept is None else self._kept
-            self._neg_order = kept[np.argsort(self.scores[self.neg[kept]])]
+            self._neg_order = kept[_sorted_order(self.scores[self.neg[kept]])[0]]
         return self._neg_order
 
 

@@ -18,11 +18,24 @@ import numpy as np
 VALID_LABELS = (-1, 0, 1)
 
 
+def _whole(name: str, values) -> np.ndarray:
+    """``values`` as int64, refusing any that are not whole numbers, which
+    a cast would truncate."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        values = np.asarray(values, dtype=np.float64)
+        whole = (np.trunc(values) == values) & (np.abs(values) < 2.0**63)
+        if not whole.all():
+            bad = np.unique(values[~whole]).tolist()
+            raise ValueError(f"{name} must be whole numbers, found {bad}")
+    return np.asarray(values, dtype=np.int64)
+
+
 def _validated(name: str, values, ndim: int, labels, group_ids):
     """Checked float64 ``values`` (one leading row per sample), int64
     labels and int64 group ids (zeros when None)."""
     values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _whole("labels", labels)
     if values.ndim != ndim or labels.ndim != 1:
         raise ValueError(f"{name} must be {ndim}-dimensional and labels one-dimensional")
     if values.shape[0] != labels.shape[0]:
@@ -37,7 +50,7 @@ def _validated(name: str, values, ndim: int, labels, group_ids):
     if group_ids is None:
         group_ids = np.zeros(labels.shape[0], dtype=np.int64)
     else:
-        group_ids = np.asarray(group_ids, dtype=np.int64)
+        group_ids = _whole("group_ids", group_ids)
         if group_ids.shape != labels.shape:
             raise ValueError("group_ids must match labels in length")
     return values, labels, group_ids

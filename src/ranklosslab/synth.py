@@ -74,7 +74,8 @@ def generate(cfg: SynthConfig) -> RankingDataset:
 
     When ``margin >= 0`` the returned dataset carries the certifying unit
     vector as ``separator`` (and the margin), verified by scoring before
-    returning.
+    returning; a gap that rounding leaves below the margin (a large
+    ``score_shift``) raises ``ValueError``.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     u = rng.standard_normal(cfg.dim)
@@ -128,7 +129,7 @@ def generate(cfg: SynthConfig) -> RankingDataset:
         scores = features @ u
         gap = scores[label_arr == 1].min() - scores[label_arr == 0].max()
         if gap < cfg.margin - 1e-9:
-            raise AssertionError(
+            raise ValueError(
                 f"separability certificate failed: gap {gap} < margin {cfg.margin}"
             )
     return data

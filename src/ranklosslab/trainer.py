@@ -214,8 +214,8 @@ LOSS_KINDS = tuple(_UPDATE_RULES)
 
 def _view_args(cfg: TrainConfig) -> tuple[float | None, bool]:
     """The rank view a rule reads: its cut, and whether it reads the
-    negatives' order.  A cut saves only the argsort of the negatives below
-    it, so a rule that reads no order keeps every negative."""
+    negatives' order.  A cut saves only the ordering sort of the negatives
+    below it, so a rule that reads no order keeps every negative."""
     if cfg.loss_kind == "error_driven_ap":
         return _cut(cfg.step_cfg, cfg.grad_opts), cfg.step_cfg.kind != SIGMOID_KIND
     if cfg.loss_kind == "auc" and cfg.step_cfg.kind == HEAVISIDE_KIND:
@@ -268,13 +268,14 @@ def train(
     trace row, and then applies the weight update.  Each batch's classes
     are sorted once per iteration into a rank view that the exact loss and
     the update rule both read: the error-driven rule's trivial negatives
-    are only counted, and a joint batch argsorts the rest there when the
-    rule reads their order.  The views are dropped before the weights
-    move, so no sorted copy outlives its iteration.
+    are only counted, and a joint batch orders the rest there, by one
+    packed-key sort, when the rule reads their order.  The views are
+    dropped before the weights move, so no sorted copy outlives its
+    iteration.
     Non-convergence is a recorded outcome, not an error; scores that
     overflow to inf or NaN raise ``ValueError`` naming the iteration.
     ``timing`` fills the trace's wall_ns column with measured times of the
-    update rule (a joint batch's up-front argsort is outside them);
+    update rule (a joint batch's up-front ordering sort is outside them);
     otherwise the column is zero so traces stay byte-reproducible.
     """
     if model.dim != data.dim:
@@ -299,10 +300,10 @@ def train(
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
-    # A joint batch's view argsorts its kept negatives up front when the
-    # rule reads their order, so one sort serves the loss and the rule.  Of
-    # the per-group views only the chosen one reaches the rule, which
-    # argsorts on first use.
+    # A joint batch's view orders its kept negatives up front, by one
+    # packed-key sort, when the rule reads their order, so one sort serves
+    # the loss and the rule.  Of the per-group views only the chosen one
+    # reaches the rule, whose view orders its classes on first use.
     cut, ordered = _view_args(cfg)
     ordered = ordered and not per_group
 

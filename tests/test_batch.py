@@ -28,6 +28,24 @@ class TestSampleBatch:
         b = SampleBatch([], [])
         assert b.n == 0
 
+    @pytest.mark.parametrize("labels", [[1, 0.5, -0.9], [1, 0, np.nan], [1, 0, np.inf]])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels):
+        # A cast to int64 would truncate 0.5 and -0.9 to valid labels 0.
+        with pytest.raises(ValueError, match="labels must be whole numbers"):
+            SampleBatch([0.1, 0.2, 0.3], labels)
+
+    def test_group_ids_that_are_not_whole_numbers_rejected(self):
+        match = r"group_ids must be whole numbers, found \[0.5, 1.7\]"
+        with pytest.raises(ValueError, match=match):
+            SampleBatch([0.1, 0.2], [1, 0], [0.5, 1.7])
+        with pytest.raises(ValueError, match="group_ids must be whole numbers"):
+            RankingDataset(np.eye(2), [1, 0], group_ids=[0, np.nan])
+
+    def test_whole_floats_are_labels_and_group_ids(self):
+        b = SampleBatch([0.1, 0.2, 0.3], [1.0, 0.0, -1.0], [2.0, 0.0, -1.0])
+        assert b.labels.tolist() == [1, 0, -1] and b.group_ids.tolist() == [2, 0, -1]
+        assert b.labels.dtype == b.group_ids.dtype == np.int64
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected(self, bad):
         # A NaN score would otherwise read as a perfect ranking (loss 0).

@@ -190,6 +190,14 @@ train:
         assert "final_ap_loss" not in captured.out
         assert not out_dir.exists()
 
+    def test_failed_separability_certificate_is_reported(self, tmp_path, capsys):
+        # A shift of 1e9 per group rounds the separating gap below the margin.
+        cfg = tmp_path / "exp.yaml"
+        shift = "  seed: 0\n  groups: 3\n  score_shift: 1000000000"
+        cfg.write_text(CONFIG.replace("  seed: 0", shift))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "ranklosslab: separability certificate failed: gap" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text(CONFIG + "\nextra_section: {}\n")

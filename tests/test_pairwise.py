@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from ranklosslab import SampleBatch, StepConfig, partition, step_value
 from ranklosslab._pairwise import (
     RankView,
+    _sorted_order,
     column_counts,
     diff_block,
     diffs,
@@ -65,3 +67,69 @@ class TestRankCounts:
         np.testing.assert_array_equal(denom, rank_denominators(f))
         cols = column_counts(RankView(scores, pos, neg))
         np.testing.assert_array_equal(cols, f[:, 2:].sum(axis=0))
+
+
+DBL_MAX = np.finfo(np.float64).max
+# Every size up to 3, and each size where the order's index field widens
+# (2^k + 1) with the size just before it.
+SIZES = [0, 1, 2, 3] + [n for k in range(2, 18) for n in (2**k, 2**k + 1)]
+
+
+def _draw(kind: str, rng: np.random.Generator, m: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.standard_normal(m)
+    if kind == "quarter_ticks":
+        return rng.integers(-8, 9, m) / 4.0
+    if kind == "signed_zeros":
+        return rng.choice([0.0, -0.0, 0.25, -0.25], m)
+    if kind == "extremes":
+        return rng.choice([DBL_MAX, -DBL_MAX, 0.0, -0.0, 1.0, -1.0], m)
+    if kind == "subnormals":
+        return rng.choice([5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 0.0, -0.0], m)
+    # A few ulps either side of +-1e6, which share a key's high bits.
+    ulps = rng.integers(-3, 4, m) * np.spacing(1e6)
+    return np.where(rng.random(m) < 0.5, 1e6 + ulps, -1e6 - ulps)
+
+
+class TestSortedOrder:
+    @pytest.mark.parametrize(
+        "kind", ["normal", "quarter_ticks", "signed_zeros", "extremes", "subnormals", "near_1e6"]
+    )
+    def test_is_the_stable_argsort(self, kind):
+        rng = np.random.default_rng(23)
+        for m in SIZES:
+            s = _draw(kind, rng, m)
+            order, s_sorted = _sorted_order(s)
+            np.testing.assert_array_equal(order, np.argsort(s, kind="stable"))
+            # The same bits as s[order], signbits of zeros included.
+            np.testing.assert_array_equal(s_sorted.view(np.int64), s[order].view(np.int64))
+
+    @staticmethod
+    def _fallbacks(monkeypatch, s: np.ndarray) -> int:
+        argsort, calls = np.argsort, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return argsort(*args, **kwargs)
+
+        expected = argsort(s, kind="stable")
+        monkeypatch.setattr(np, "argsort", spy)
+        order, s_sorted = _sorted_order(s)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(order, expected)
+        np.testing.assert_array_equal(s_sorted.view(np.int64), s[expected].view(np.int64))
+        return len(calls)
+
+    @pytest.mark.parametrize("m", [2, 1000])
+    def test_scores_within_the_index_field_fall_back(self, monkeypatch, m):
+        # 1.0 and the next double share every key bit above the index
+        # field, so they come out by index, the larger one first.
+        s = np.random.default_rng(29).standard_normal(m)
+        s[0], s[-1] = np.nextafter(1.0, np.inf), 1.0
+        assert self._fallbacks(monkeypatch, s) == 1
+
+    def test_distinct_and_tied_scores_take_one_sort(self, monkeypatch):
+        s = np.random.default_rng(31).standard_normal(1000)
+        s[::7] = s[3]
+        s[1::10], s[2::10] = 0.0, -0.0
+        assert self._fallbacks(monkeypatch, s) == 0

@@ -415,7 +415,7 @@ VIEW_KINDS = (*BATCH_KINDS, "cut_edge")
 @given(st.data(), st.sampled_from(STEPS), st.booleans(), st.booleans())
 def test_rank_view_keeps_the_standalone_bits(kind, data, step, interpolated, normalize):
     # Loss, counts, gradient and pruned count, bit for bit, with pruning on
-    # and off, whether the view argsorts its negatives up front or on first use.
+    # and off, whether the view orders its negatives up front or on first use.
     h = step.delta if step.kind == "piecewise" else 0.0
     batch = data.draw(cut_edge_batches(h) if kind == "cut_edge" else BATCH_KINDS[kind])
     scores, (pos, neg) = batch.scores, partition(batch)
