@@ -6,26 +6,27 @@ denominator 1 + sum_{k != i} step(s_k - s_i) excludes exactly that
 column.  This layout is decided here (``columns``): ``primary_terms``
 builds one row of it, ``sigmoid_rows`` and the smoothed baseline take
 its column order, and only the gradient oracles build the whole block
-(``diffs``, ``rank_denominators``).  The soft-step AUC loss and update,
-the margin-modified update and the ramp-integral sums need no
-denominator and build ``diff_block`` over the negatives alone.  No other
-loss value builds a P x n block: every AP-style value comes from the rank
-view's counts, the accelerated gradient's band kernel or ``sigmoid_rows``.
+(``diffs``, ``rank_denominators``).  Only the ramp-integral sums of the
+margin-modified surrogate build ``diff_block`` over the negatives alone.
+No other value or update builds a P x n block: each comes from the rank
+view's counts, the accelerated gradient's band kernel or ``sigmoid_rows``,
+and the AUC and margin-modified updates are that kernel with their own
+denominators passed in.
 
 Under the Heaviside every such sum is an integer count, and the rank view
 reads it off each class's sorted scores in O(n log n) instead of building
 the O(P n) block.  For finite doubles s_j - s_i >= 0 exactly when
 s_j >= s_i: a rounded difference keeps its sign and is zero only on
 equality, and an overflow to +-inf keeps its sign too.  So the counts
-(``rank_counts``, ``column_counts``) equal the dense row and column sums
-of ``step_value(diffs(...), HEAVISIDE)`` exactly, and every quotient or
-sum built from them keeps its bits.
+(``rank_counts``, and the band kernel's counts above each band) equal the
+dense row and column sums of ``step_value(diffs(...), HEAVISIDE)``
+exactly, and every quotient or sum built from them keeps its bits.
 
 One ``RankView`` holds each class of a batch sorted once, for every
 consumer at those scores: the exact loss and the hard denominators count
-from it, the accelerated gradient's band kernel and the Heaviside AUC
-update read the negatives' order from it, and the accelerated gradient's
-trivial negatives are the ones below its cut, which are never sorted.
+from it, the accelerated gradient's band kernel reads the negatives'
+order from it for every rule that runs it, and the kernel's trivial
+negatives are the ones below its cut, which are never sorted.
 Every order it holds comes from one sort of packed int64 keys, the score's
 order-preserving bits with the element's index in the low bits, which
 gives the stable order and the sorted scores at once (``_sorted_order``).
@@ -221,17 +222,3 @@ def rank_counts(view: RankView) -> tuple[np.ndarray, np.ndarray]:
     num = view.neg_sorted.shape[0] - view.neg_sorted.searchsorted(s_pos, side="left")
     denom = num + (view.pos.shape[0] - view.pos_sorted.searchsorted(s_pos, side="left"))
     return num.astype(np.float64), denom.astype(np.float64)
-
-
-def column_counts(view: RankView) -> np.ndarray:
-    """#{pos i: s_i <= s_j} for each negative j, in ``neg`` order: the
-    Heaviside column sums over the negatives.  Each positive counts for
-    every sorted negative from the first one at or above its score, so
-    along the sorted negatives the count rises by one at each positive's
-    first index; the counts are scattered back through ``neg_order``, and a
-    negative below the view's cut counts none.  Scores must be finite."""
-    first = view.neg_sorted.searchsorted(view.pos_sorted, side="left")
-    steps = np.diff(first, prepend=0, append=view.neg_sorted.shape[0])
-    counts = np.zeros(view.neg.shape[0])
-    counts[view.neg_order] = np.repeat(np.arange(first.shape[0] + 1, dtype=np.float64), steps)
-    return counts

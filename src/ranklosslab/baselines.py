@@ -4,7 +4,9 @@ Contains the differentiable baseline (AP-style loss with every hard step
 replaced by a sigmoid, optimized by true gradient descent, optionally in
 log space), the AUC-style error-driven gradient, and the two classic
 activations -- softmax and the margin step -- for which the error-driven
-update collapses to the gradients of cross-entropy and hinge loss.
+update collapses to the gradients of cross-entropy and hinge loss.  The
+AUC gradient is the accelerated error-driven kernel with every rank
+denominator 1 (``losses._auc_core``), so no step builds a P x n block.
 
 The smoothed baseline reduces its P x n sigmoid block a few rows at a
 time, as ``_pairwise.sigmoid_rows`` yields them: from separable
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import _pairwise
 from .batch import SampleBatch, partition
-from .losses import _auc_steps
-from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig
+from .losses import _auc_core, _auc_view
+from .steps import HEAVISIDE, StepConfig
 
 
 @dataclass(frozen=True)
@@ -100,37 +102,18 @@ def smoothed_ap_loss_and_grad(
     return _smoothed_core(batch.scores, pos, neg, cfg)
 
 
-def _auc_core(view: _pairwise.RankView, cfg: StepConfig) -> tuple[float, np.ndarray]:
-    pos, neg = view.pos, view.neg
-    grad = np.zeros(view.scores.shape[0])
-    p, q = pos.shape[0], neg.shape[0]
-    if p == 0 or q == 0:
-        return 0.0, grad
-    if cfg.kind == HEAVISIDE_KIND:
-        rows = _pairwise.rank_counts(view)[0]
-        cols, total = _pairwise.column_counts(view), rows.sum()
-    else:
-        f = _auc_steps(view.scores, pos, neg, cfg)
-        rows, cols, total = f.sum(axis=1), f.sum(axis=0), f.sum()
-    scale = 1.0 / (p * q)
-    grad[pos] = -rows * scale
-    grad[neg] = cols * scale
-    return float(total * scale), grad
-
-
 def auc_grad(
     batch: SampleBatch, cfg: StepConfig = HEAVISIDE
 ) -> tuple[float, np.ndarray]:
     """Error-driven update for the pair-counting (AUC-style) loss.
 
-    Every misordered pair charges 1/(|P| |N|): subtracted from its
-    positive's gradient entry, added to its negative's, so the gradient
-    sums to zero exactly.
+    Every pair charges step(s_j - s_i)/(|P| |N|), under the Heaviside
+    1/(|P| |N|) per misordered pair: subtracted from its positive's
+    gradient entry, added to its negative's, so the gradient sums to zero
+    to rounding.  Negatives below the step's pruning cut charge nothing
+    and are never sorted.
     """
-    pos, neg = partition(batch)
-    hard = cfg.kind == HEAVISIDE_KIND
-    view = _pairwise.RankView(batch.scores, pos, neg, 0.0 if hard else None, hard)
-    return _auc_core(view, cfg)
+    return _auc_core(_auc_view(batch, cfg), cfg)[:2]
 
 
 def softmax_error_driven(x: np.ndarray, y: int) -> np.ndarray:

@@ -174,10 +174,10 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
     RANKLOSSLAB_THREADS environment variable) unless timing is on, in
     which case one worker runs them in turn so measurements do not contend.
     When a task raises, every other task still runs, the finished ones are
-    written (``results.csv`` then holds only their rows), and the first
-    error in task order is raised again.  Every run needs a positive and a
-    negative, or it would report the loss of a perfect ranking; without
-    them nothing runs.
+    written (``results.csv`` then holds only their rows; with none, nothing
+    is written), and the first error in task order is raised again.  Every
+    run needs a positive and a negative, or it would report the loss of a
+    perfect ranking; without them nothing runs.
     """
     grid = spec.negatives_grid or (spec.synth.negatives,)
     _at_least_one(positives=spec.synth.positives, negatives=min(grid))
@@ -194,7 +194,7 @@ def run_experiment(spec: ExperimentSpec, write: bool = True) -> ExperimentResult
     finished = {task: f.result() for task, f in zip(tasks, futures) if f.exception() is None}
     rows = [row for row, _ in finished.values()]
     traces = {task: trace for task, (_, trace) in finished.items()}
-    if write:
+    if write and finished:
         out = Path(spec.output_path)
         write_csv(out / "results.csv", RESULT_HEADER, rows)
         for (loss, n_neg, rep), trace in traces.items():

@@ -226,7 +226,7 @@ def _precisions(num, denom, interpolated, max_prec):
     return scale / denom, frac * scale, prec, max_prec
 
 
-def _sorted_band_core(s_pos, t, cfg, interpolated):
+def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
     """The bounded-support steps on sorted scores.
 
     ``s_pos`` and the kept negatives' scores ``t`` are both ascending.
@@ -238,9 +238,11 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     one precision update and one scatter into the negatives' gradient per
     group.  Tied positives have the same band and the same terms, so each
     distinct score is one row, and the scatter takes the sum of its tied
-    positives' weights.  Returns the loss, the per-positive contributions,
-    the negatives' gradient in ``t`` order and the precisions, all
-    unnormalized.
+    positives' weights.  ``denom``, in ``s_pos`` order and equal for tied
+    positives, replaces the soft rank denominators 1 + sum_{k != i}
+    step(s_k - s_i), and then the positives' own band pass is skipped.
+    Returns the loss, the per-positive contributions, the negatives'
+    gradient in ``t`` order and the precisions, all unnormalized.
     """
     p, m = s_pos.shape[0], t.shape[0]
     h = cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
@@ -259,12 +261,15 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     with np.errstate(over="ignore"):
         below, above = s - width, s + width
 
-    # Rank denominators less the negatives: the row's own sample is in its
-    # band with the term step(0).
-    lo, hi = s_pos.searchsorted(below, "left"), s_pos.searchsorted(above, "right")
-    others = np.subtract(p - step_value(0.0, cfg), hi)
-    for a, b, _, sums, _ in _band_groups(s_pos, s, lo, hi, cfg):
-        others[a:b] += sums
+    if denom is None:
+        # Rank denominators less the negatives: the row's own sample is in
+        # its band with the term step(0).
+        lo, hi = s_pos.searchsorted(below, "left"), s_pos.searchsorted(above, "right")
+        others = np.subtract(p - step_value(0.0, cfg), hi)
+        for a, b, _, sums, _ in _band_groups(s_pos, s, lo, hi, cfg):
+            others[a:b] += sums
+    elif counts is not None:
+        denom = denom[runs]
 
     # Sums, precisions and the band's share of the negatives' gradient.
     lo, hi = t.searchsorted(below, "left"), t.searchsorted(above, "right")
@@ -274,8 +279,9 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     max_prec = 0.0
     for a, b, f, sums, cols in _band_groups(t, s, lo, hi, cfg):
         num[a:b] += sums
+        d = 1.0 + others[a:b] + num[a:b] if denom is None else denom[a:b]
         w[a:b], contrib[a:b], precs[a:b], max_prec = _precisions(
-            num[a:b], 1.0 + others[a:b] + num[a:b], interpolated, max_prec
+            num[a:b], d, interpolated, max_prec
         )
         weight = w[a:b]
         if counts is not None:
@@ -297,41 +303,45 @@ def _sorted_band_core(s_pos, t, cfg, interpolated):
     return float(contrib.sum()), contrib, g, precs
 
 
-def _sigmoid_core(s_pos, s_neg, k, interpolated):
+def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
     """``_sorted_band_core``'s results for the sigmoid, from the ascending
     positives ``s_pos`` and the negatives ``s_neg`` in any order, a chunk of
-    ``_pairwise.sigmoid_rows`` at a time."""
+    ``_pairwise.sigmoid_rows`` at a time; ``denom`` as there."""
     p = s_pos.shape[0]
     contrib, precs = np.empty(p), np.empty(p)
     g = np.zeros(s_neg.shape[0])
     max_prec = 0.0
     for i0, i1, sig, _ in _pairwise.sigmoid_rows(np.concatenate([s_pos, s_neg]), p, k):
         num = sig[:, p:].sum(axis=1)
-        w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(
-            num, 1.0 + num + sig[:, :p].sum(axis=1), interpolated, max_prec
-        )
+        d = 1.0 + num + sig[:, :p].sum(axis=1) if denom is None else denom[i0:i1]
+        w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(num, d, interpolated, max_prec)
         g += w @ sig[:, p:]
     return float(contrib.sum()), contrib, g, precs
 
 
-def _accelerated_core(view: _pairwise.RankView, cfg: StepConfig, opts: GradOptions) -> GradResult:
-    """Accelerated gradient on a batch's rank view (shared hot path)."""
+def _accelerated_core(
+    view: _pairwise.RankView, cfg: StepConfig, opts: GradOptions, denom: np.ndarray | None = None
+) -> GradResult:
+    """Accelerated gradient on a batch's rank view (shared hot path); a
+    ``denom`` in ``pos`` order replaces the soft rank denominators."""
     pos, neg = view.pos, view.neg
     grad = np.zeros(view.scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return GradResult(0.0, grad, 0, np.ones(p))
+    if denom is not None:
+        denom = denom[view.pos_order]
     if cfg.kind == SIGMOID_KIND:
         pruned = 0
         loss, contrib, grad[neg], precs = _sigmoid_core(
-            view.pos_sorted, view.scores[neg], cfg.k, opts.interpolated
+            view.pos_sorted, view.scores[neg], cfg.k, opts.interpolated, denom
         )
     else:
         if view.cut != _cut(cfg, opts):
             raise ValueError(f"rank view cut {view.cut} is not this step's {_cut(cfg, opts)}")
         pruned = view.below
         loss, contrib, neg_grad, precs = _sorted_band_core(
-            view.pos_sorted, view.neg_sorted, cfg, opts.interpolated
+            view.pos_sorted, view.neg_sorted, cfg, opts.interpolated, denom
         )
         grad[neg[view.neg_order]] = neg_grad
     grad[pos[view.pos_order]] -= contrib

@@ -10,10 +10,12 @@ deterministic on tied inputs.
 
 Each value takes one route.  The hard-step AP and AUC losses are the rank
 view's counts (``_pairwise.rank_counts``); the ramp and sigmoid AP losses
-are ``grad_accelerated``'s loss without pruning; ``exact_metrics`` reads
-all three numbers off one rank view, the interpolated AP through the
-accelerated band kernel.  ``primary_terms`` builds one row of the pairwise
-block, and only the soft-step AUC loss builds a positives-by-negatives one.
+are ``grad_accelerated``'s loss without pruning, and the ramp and sigmoid
+AUC losses are the AUC update's value (``_auc_core``: the accelerated
+kernel with every rank denominator 1); ``exact_metrics`` reads all three
+numbers off one rank view, the interpolated AP through the accelerated
+band kernel.  ``primary_terms`` builds one row of the pairwise block, and
+no loss builds a positives-by-negatives one.
 
 Loss values are 0 whenever a batch has no positives or no negatives, since
 no misorderable pair exists.
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import _pairwise
 from .batch import SampleBatch, partition
-from .gradients import GradOptions, _accelerated_core, grad_accelerated
-from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig, step_value
+from .gradients import GradOptions, _accelerated_core, _cut, grad_accelerated
+from .steps import HEAVISIDE, HEAVISIDE_KIND, SIGMOID_KIND, StepConfig, step_value
 
 
 def _ap_loss_core(view: _pairwise.RankView) -> float:
@@ -46,9 +48,29 @@ def _auc_loss_core(view: _pairwise.RankView) -> float:
     return float(_pairwise.rank_counts(view)[0].sum() / (pos.shape[0] * neg.shape[0]))
 
 
-def _auc_steps(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: StepConfig):
-    """Step matrix of s_j - s_i: one row per positive i, one column per negative j."""
-    return step_value(_pairwise.diff_block(scores, pos, neg), cfg)
+def _auc_view(batch: SampleBatch, cfg: StepConfig) -> _pairwise.RankView:
+    """The AUC update's rank view: pruned at the step's cut, ordered unless sigmoid."""
+    cut = _cut(cfg, GradOptions())
+    return _pairwise.RankView(batch.scores, *partition(batch), cut, cfg.kind != SIGMOID_KIND)
+
+
+def _auc_core(view: _pairwise.RankView, cfg: StepConfig) -> tuple[float, np.ndarray, int]:
+    """AUC value, error-driven update and pruned count on a rank view: the
+    accelerated kernel with every rank denominator 1, unnormalized, scaled
+    by 1/(p q).  The view's cut, if any, must be this step's."""
+    p, q = view.pos.shape[0], view.neg.shape[0]
+    opts = GradOptions(prune_trivial_negatives=view.cut is not None, normalize_by_positives=False)
+    res = _accelerated_core(view, cfg, opts, np.ones(p))
+    grad = res.grad
+    if p == 0 or q == 0:
+        return 0.0, grad, 0
+    # The kernel leaves 0.0 - (row sum), +0.0 for a row of zeros; the dense
+    # form's -(row sum) is -0.0 there, and the Heaviside AUC keeps its bits.
+    rows = np.abs(grad[view.pos])
+    grad[view.pos] = -rows
+    scale = 1.0 / (p * q)
+    grad *= scale
+    return float(rows.sum() * scale), grad, res.pruned_negatives
 
 
 def primary_terms(batch: SampleBatch, i: int, cfg: StepConfig = HEAVISIDE) -> np.ndarray:
@@ -86,9 +108,7 @@ def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     pos, neg = partition(batch)
     if cfg.kind == HEAVISIDE_KIND:
         return _auc_loss_core(_pairwise.RankView(batch.scores, pos, neg))
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
-        return 0.0
-    return float(_auc_steps(batch.scores, pos, neg, cfg).sum() / (pos.shape[0] * neg.shape[0]))
+    return _auc_core(_auc_view(batch, cfg), cfg)[0]
 
 
 @dataclass(frozen=True)

@@ -25,18 +25,16 @@ import numpy as np
 
 from . import _pairwise
 from ._pairwise import RankView
-from .baselines import SmoothedApConfig, _smoothed_core, _auc_core
+from .baselines import SmoothedApConfig, _smoothed_core
 from .batch import RankingDataset, SampleBatch, partition
 from .gradients import GradOptions, _accelerated_core, _cut
-from .losses import _ap_loss_core
+from .losses import _ap_loss_core, _auc_core
 from .steps import (
     HEAVISIDE,
-    HEAVISIDE_KIND,
     PIECEWISE_KIND,
     SIGMOID_KIND,
     StepConfig,
     ramp_integral,
-    step_value,
 )
 
 
@@ -141,28 +139,25 @@ def score_dataset(model: LinearModel, data: RankingDataset) -> SampleBatch:
     return SampleBatch(data.features @ model.theta, data.labels, data.group_ids)
 
 
-def _inseparable_grad(view: RankView, delta: float) -> tuple[float, np.ndarray]:
+def _inseparable_grad(view: RankView, delta: float) -> tuple[float, np.ndarray, int]:
     """Margin-modified update: ramp numerator over a hard-rank denominator.
 
     Returns the smooth surrogate value (ramp-integral numerator over the
-    same denominators) and the normalized score gradient; the update is
-    exactly gradient descent on that surrogate with the denominators
-    frozen at the current weights.  The denominators are counted on the
-    view's sorted scores, the ones the exact loss counted on.
+    same denominators), the normalized score gradient and the pruned
+    count; the update is exactly gradient descent on that surrogate with
+    the denominators frozen at the current weights.  The denominators are
+    the view's hard counts, and the update is the accelerated kernel at
+    the ramp's cut with them in place of its soft denominators.
     """
-    scores, pos, neg = view.scores, view.pos, view.neg
-    grad = np.zeros(scores.shape[0])
+    pos, neg = view.pos, view.neg
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
-        return 0.0, grad
-    diffs = _pairwise.diff_block(scores, pos, neg)
+        return 0.0, np.zeros(view.scores.shape[0]), 0
     denom = _pairwise.rank_counts(view)[1]
-    soft = step_value(diffs, StepConfig.piecewise(delta))
-    terms = soft / denom[:, None]
-    grad[pos] = -terms.sum(axis=1) / p
-    grad[neg] = terms.sum(axis=0) / p
-    surrogate = float((ramp_integral(diffs, delta).sum(axis=1) / denom).sum() / p)
-    return surrogate, grad
+    opts = GradOptions(prune_trivial_negatives=view.cut is not None)
+    res = _accelerated_core(view, StepConfig.piecewise(delta), opts, denom)
+    surrogate = float((_ramp_row_sums(view.scores, pos, neg, delta) / denom).sum() / p)
+    return surrogate, res.grad, res.pruned_negatives
 
 
 def jacobian_norm_bound(data: RankingDataset) -> float:
@@ -206,21 +201,19 @@ def _error_driven_rule(view: RankView, cfg: TrainConfig):
 _UPDATE_RULES = {
     "error_driven_ap": _error_driven_rule,
     "smoothed_ap_gd": lambda v, cfg: (*_smoothed_core(v.scores, v.pos, v.neg, cfg.smoothed), 0),
-    "auc": lambda v, cfg: (*_auc_core(v, cfg.step_cfg), 0),
-    "inseparable_ap": lambda v, cfg: (*_inseparable_grad(v, cfg.step_cfg.delta), 0),
+    "auc": lambda v, cfg: _auc_core(v, cfg.step_cfg),
+    "inseparable_ap": lambda v, cfg: _inseparable_grad(v, cfg.step_cfg.delta),
 }
 LOSS_KINDS = tuple(_UPDATE_RULES)
 
 
 def _view_args(cfg: TrainConfig) -> tuple[float | None, bool]:
     """The rank view a rule reads: its cut, and whether it reads the
-    negatives' order.  A cut saves only the ordering sort of the negatives
-    below it, so a rule that reads no order keeps every negative."""
-    if cfg.loss_kind == "error_driven_ap":
-        return _cut(cfg.step_cfg, cfg.grad_opts), cfg.step_cfg.kind != SIGMOID_KIND
-    if cfg.loss_kind == "auc" and cfg.step_cfg.kind == HEAVISIDE_KIND:
-        return 0.0, True
-    return None, False
+    negatives' order.  Every rule but the smoothed one runs the
+    accelerated kernel at its step's cut; the sigmoid reads no order."""
+    if cfg.loss_kind == "smoothed_ap_gd":
+        return None, False
+    return _cut(cfg.step_cfg, cfg.grad_opts), cfg.step_cfg.kind != SIGMOID_KIND
 
 _ONE_JOINT_ITERATION = dict(max_iters=1, stop_at_zero_loss=False, update_scope="joint")
 
@@ -267,9 +260,10 @@ def train(
     erring group in ``per_group`` scope) at the current weights, records a
     trace row, and then applies the weight update.  Each batch's classes
     are sorted once per iteration into a rank view that the exact loss and
-    the update rule both read: the error-driven rule's trivial negatives
-    are only counted, and a joint batch orders the rest there, by one
-    packed-key sort, when the rule reads their order.  The views are
+    the update rule both read: the trivial negatives of every rule that
+    runs the accelerated kernel (all but the smoothed one) are only
+    counted, and a joint batch orders the rest there, by one packed-key
+    sort, when the rule reads their order.  The views are
     dropped before the weights move, so no sorted copy outlives its
     iteration.
     Non-convergence is a recorded outcome, not an error; scores that

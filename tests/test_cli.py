@@ -30,6 +30,10 @@ run:
   repetitions: 1
 """
 
+# Three groups shifted 1e9 apart: the separating gap rounds below the
+# margin, and the generator's certificate fails inside every run.
+SCORE_SHIFT = "  seed: 0\n  groups: 3\n  score_shift: 1000000000"
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
@@ -192,11 +196,15 @@ train:
 
     def test_failed_separability_certificate_is_reported(self, tmp_path, capsys):
         # A shift of 1e9 per group rounds the separating gap below the margin.
+        # The run's only task fails, so nothing is written.
         cfg = tmp_path / "exp.yaml"
-        shift = "  seed: 0\n  groups: 3\n  score_shift: 1000000000"
-        cfg.write_text(CONFIG.replace("  seed: 0", shift))
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert "ranklosslab: separability certificate failed: gap" in capsys.readouterr().err
+        cfg.write_text(CONFIG.replace("  seed: 0", SCORE_SHIFT))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "ranklosslab: separability certificate failed: gap" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"
@@ -224,6 +232,19 @@ class TestSweepCommand:
         assert rc == 0
         lines = (out_dir / "results.csv").read_text().splitlines()
         assert len(lines) == 3  # header + two grid points
+
+    def test_run_whose_every_task_fails_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text(
+            CONFIG.replace("  seed: 0", SCORE_SHIFT)
+            .replace("repetitions: 1", "repetitions: 1\n  negatives_grid: [20, 40]")
+        )
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert "ranklosslab: separability certificate failed: gap" in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.yaml"

@@ -7,6 +7,7 @@ from ranklosslab import (
     SampleBatch,
     StepConfig,
     ap_loss,
+    auc_grad,
     auc_loss,
     exact_metrics,
     grad_bruteforce,
@@ -203,8 +204,15 @@ class TestMemory:
             lambda b: primary_terms(b, 0, StepConfig.piecewise(1.0)),
             lambda b: primary_terms(b, 0, StepConfig.sigmoid(0.5)),
             exact_metrics,
+            lambda b: auc_grad(b, StepConfig.piecewise(1.0)),
+            lambda b: auc_grad(b, StepConfig.sigmoid(0.5)),
+            lambda b: auc_loss(b, StepConfig.piecewise(1.0)),
+            lambda b: auc_loss(b, StepConfig.sigmoid(0.5)),
         ],
-        ids=["ramp-ap", "sigmoid-ap", "ramp-primary", "sigmoid-primary", "exact"],
+        ids=[
+            "ramp-ap", "sigmoid-ap", "ramp-primary", "sigmoid-primary", "exact",
+            "ramp-auc-grad", "sigmoid-auc-grad", "ramp-auc", "sigmoid-auc",
+        ],
     )
     def test_peak_stays_below_8_mb(self, batch, call):
         tracemalloc.start()

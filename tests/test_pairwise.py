@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from ranklosslab import SampleBatch, StepConfig, partition, step_value
+from ranklosslab import SampleBatch, StepConfig, auc_grad, partition, step_value
 from ranklosslab._pairwise import (
     RankView,
     _sorted_order,
-    column_counts,
     diff_block,
     diffs,
     rank_counts,
@@ -50,11 +49,13 @@ class TestRankCounts:
         labels = np.array([1, 1, 0, 0, 0, 0, -1])
         pos, neg = partition(SampleBatch(scores, labels))
         num, denom = rank_counts(RankView(scores, pos, neg))
-        col = column_counts(RankView(scores, pos, neg))
         np.testing.assert_array_equal(num, [3.0, 2.0])
         np.testing.assert_array_equal(denom, [5.0, 3.0])
-        np.testing.assert_array_equal(col, [1.0, 2.0, 2.0, 0.0])
-        assert num.dtype == denom.dtype == col.dtype == np.float64
+        assert num.dtype == denom.dtype == np.float64
+        # The AUC update's column sums over the 2 x 4 pairs, each scaled by 1/8.
+        grad = auc_grad(SampleBatch(scores, labels))[1]
+        np.testing.assert_array_equal(grad[neg] * 8.0, [1.0, 2.0, 2.0, 0.0])
+        np.testing.assert_array_equal(grad[pos] * 8.0, -num)
 
     def test_overflowing_differences_keep_their_sign(self):
         scores = np.array([-1.7e308, 1.7e308, 1.7e308, -1.7e308])
@@ -65,8 +66,8 @@ class TestRankCounts:
         num, denom = rank_counts(RankView(scores, pos, neg))
         np.testing.assert_array_equal(num, f[:, 2:].sum(axis=1))
         np.testing.assert_array_equal(denom, rank_denominators(f))
-        cols = column_counts(RankView(scores, pos, neg))
-        np.testing.assert_array_equal(cols, f[:, 2:].sum(axis=0))
+        grad = auc_grad(SampleBatch(scores, labels))[1]
+        np.testing.assert_array_equal(grad[neg] * 4.0, f[:, 2:].sum(axis=0))
 
 
 DBL_MAX = np.finfo(np.float64).max

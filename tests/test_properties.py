@@ -41,7 +41,8 @@ from ranklosslab import (
     surrogate_loss,
 )
 from ranklosslab import gradients
-from ranklosslab._pairwise import RankView, column_counts, diff_block, diffs, rank_counts
+from ranklosslab._pairwise import RankView, diff_block, diffs, rank_counts
+from ranklosslab.losses import _auc_core
 from ranklosslab.trainer import _inseparable_grad
 from helpers import per_pair_sigmoid, sigmoid_chunk_rows, smoothed_ap_longdouble
 
@@ -138,11 +139,14 @@ def test_rank_counts_equal_the_dense_sums(batch):
     num, denom = rank_counts(RankView(batch.scores, pos, neg))
     assert_same_bits(num, f[:, p:].sum(axis=1))
     assert_same_bits(denom, 1.0 + f.sum(axis=1) - f.diagonal())
+    q = neg.shape[0]
     for cut in (None, 0.0, 1.0):
         for ordered in (False, True):
             view = RankView(batch.scores, pos, neg, cut, ordered)
             assert_same_bits(rank_counts(view)[1], denom)
-            assert_same_bits(column_counts(view), f[:, p:].sum(axis=0))
+            if p and q and cut != 1.0:  # the Heaviside AUC's column sums
+                cols = _auc_core(view, HEAVISIDE)[1][neg]
+                assert_same_bits(cols, f[:, p:].sum(axis=0) * (1.0 / (p * q)))
 
 
 @OVERFLOW_OK
@@ -174,26 +178,25 @@ def test_hard_step_losses_keep_the_dense_bits(batch):
 @OVERFLOW_OK
 @PROPERTY
 @given(extreme_batches(), st.sampled_from((1.0, -0.5, 0.25)), st.sampled_from((0.5, 1.0)))
-def test_inseparable_update_and_surrogate_keep_the_dense_bits(batch, u, delta):
+def test_inseparable_surrogate_keeps_the_dense_bits(batch, u, delta):
+    # The update itself is checked against the dense form at 1e-9
+    # (``test_margin_modified_update_matches_the_dense_definition``).
     pos, neg = partition(batch)
     p = pos.shape[0]
     data = RankingDataset(batch.scores[:, None], batch.labels)
     u, theta_hat = np.array([u]), np.array([1.0])
     scores = data.features @ theta_hat
-    grad, surrogate, at_u = np.zeros(batch.n), 0.0, 0.0
+    surrogate, at_u = 0.0, 0.0
     if p and neg.shape[0]:
         f = dense_hard(scores, pos, neg)
         denom = 1.0 + f.sum(axis=1) - f.diagonal()
         block = diffs(scores, pos, neg)[:, p:]
-        terms = step_value(block, StepConfig.piecewise(delta)) / denom[:, None]
-        grad[pos] = -terms.sum(axis=1) / p
-        grad[neg] = terms.sum(axis=0) / p
         surrogate = float((ramp_integral(block, delta).sum(axis=1) / denom).sum() / p)
         ramp_u = ramp_integral(diff_block(data.features @ u, pos, neg), delta).sum(axis=1)
         at_u = float((ramp_u / denom).sum() / p)
-    value, update = _inseparable_grad(RankView(scores, pos, neg), delta)
-    assert_same_bits(value, surrogate)
-    assert_same_bits(update, grad)
+    for cut in (None, delta):
+        value, _, _ = _inseparable_grad(RankView(scores, pos, neg, cut), delta)
+        assert_same_bits(value, surrogate)
     assert_same_bits(surrogate_loss(u, data, theta_hat, delta), at_u)
 
 
@@ -208,9 +211,9 @@ BOUNDED_STEPS = (
 
 
 @st.composite
-def offset_batches(draw):
+def offset_batches(draw, offset=1e6):
     batch = draw(batches())
-    return SampleBatch(batch.scores + 1e6, batch.labels)
+    return SampleBatch(batch.scores + offset, batch.labels)
 
 
 BATCH_KINDS = {"ticks": batches(), "extremes": extreme_batches(), "offset": offset_batches()}
@@ -420,12 +423,14 @@ def test_rank_view_keeps_the_standalone_bits(kind, data, step, interpolated, nor
     batch = data.draw(cut_edge_batches(h) if kind == "cut_edge" else BATCH_KINDS[kind])
     scores, (pos, neg) = batch.scores, partition(batch)
     num, denom, cols = standalone_counts(scores, pos, neg)
+    p, q = pos.shape[0], neg.shape[0]
     for cut in (None, 0.0, h or 0.5):
         for ordered in (False, True):
             view = RankView(scores, pos, neg, cut, ordered)
             assert_same_bits(rank_counts(view)[0], num)
             assert_same_bits(rank_counts(view)[1], denom)
-            assert_same_bits(column_counts(view), cols)
+            if p and q and cut != (h or 0.5):  # the Heaviside AUC's column sums
+                assert_same_bits(_auc_core(view, HEAVISIDE)[1][neg], cols * (1.0 / (p * q)))
     for prune in (False, True):
         opts = GradOptions(interpolated, prune, normalize)
         loss, grad, pruned = standalone_accelerated(scores, pos, neg, step, opts)
@@ -440,6 +445,84 @@ def test_rank_view_keeps_the_standalone_bits(kind, data, step, interpolated, nor
         assert (res.loss, res.pruned_negatives) == (loss, pruned)
     expected = float((num / denom).sum() / pos.shape[0]) if pos.shape[0] and neg.shape[0] else 0.0
     assert_same_bits(ap_loss(batch), expected)
+
+
+# The AUC and margin-modified rules: the accelerated kernel with each
+# positive's denominator passed in (1, and the hard rank count), against
+# the dense positives-by-negatives definitions, at 1e-9 of each entry and
+# with the same exact zeros.
+DENOM_KINDS = {**BATCH_KINDS, "negative_offset": offset_batches(-1e6)}
+AUC_STEPS = (
+    StepConfig.heaviside(),
+    StepConfig.piecewise(0.5),
+    StepConfig.piecewise(1.0),
+    *(StepConfig.sigmoid(k) for k in (0.25, 0.5, 1.0)),
+)
+
+
+def assert_matches_dense(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=0.0)
+    np.testing.assert_array_equal(np.asarray(actual) == 0.0, np.asarray(expected) == 0.0)
+
+
+def draw_denom_batch(data, kind, h):
+    return data.draw(cut_edge_batches(h) if kind == "cut_edge" else DENOM_KINDS[kind])
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize("kind", (*DENOM_KINDS, "cut_edge"))
+@PROPERTY
+@given(st.data(), st.sampled_from(AUC_STEPS), st.sampled_from(GROUP_BOUNDS))
+def test_auc_routes_match_the_dense_definition(kind, data, step, bound):
+    h = step.delta if step.kind == "piecewise" else 0.0
+    batch = draw_denom_batch(data, kind, h)
+    scores, (pos, neg) = batch.scores, partition(batch)
+    p, q = pos.shape[0], neg.shape[0]
+    value, grad = 0.0, np.zeros(batch.n)
+    if p and q:
+        f = step_value(diff_block(scores, pos, neg), step)
+        value = float(f.sum() / (p * q))
+        grad[pos] = -f.sum(axis=1) / (p * q)
+        grad[neg] = f.sum(axis=0) / (p * q)
+    with mock.patch.object(gradients, "_GROUP_PAIRS", bound):
+        assert_matches_dense(auc_loss(batch, step), value)
+        actual_value, actual_grad = auc_grad(batch, step)
+        assert_matches_dense(actual_value, value)
+        assert_matches_dense(actual_grad, grad)
+        # The training rule's views: pruned at the step's cut or not, the
+        # negatives ordered up front or on first use.
+        for cut in {None, gradients._cut(step, GradOptions())}:
+            for ordered in (False, True):
+                view = RankView(scores, pos, neg, cut, ordered)
+                actual_value, actual_grad, pruned = _auc_core(view, step)
+                assert_matches_dense(actual_value, value)
+                assert_matches_dense(actual_grad, grad)
+                assert pruned == (view.below if p and q else 0)
+
+
+@OVERFLOW_OK
+@pytest.mark.parametrize("kind", (*DENOM_KINDS, "cut_edge"))
+@PROPERTY
+@given(st.data(), st.sampled_from((0.5, 1.0)), st.sampled_from(GROUP_BOUNDS))
+def test_margin_modified_update_matches_the_dense_definition(kind, data, delta, bound):
+    batch = draw_denom_batch(data, kind, delta)
+    scores, (pos, neg) = batch.scores, partition(batch)
+    p, q = pos.shape[0], neg.shape[0]
+    grad = np.zeros(batch.n)
+    if p and q:
+        f = dense_hard(scores, pos, neg)
+        denom = 1.0 + f.sum(axis=1) - f.diagonal()
+        ramp = step_value(diff_block(scores, pos, neg), StepConfig.piecewise(delta))
+        terms = ramp / denom[:, None]
+        grad[pos] = -terms.sum(axis=1) / p
+        grad[neg] = terms.sum(axis=0) / p
+    with mock.patch.object(gradients, "_GROUP_PAIRS", bound):
+        for cut in (None, delta):
+            for ordered in (False, True):
+                view = RankView(scores, pos, neg, cut, ordered)
+                _, update, pruned = _inseparable_grad(view, delta)
+                assert_matches_dense(update, grad)
+                assert pruned == (view.below if p and q else 0)
 
 
 @st.composite

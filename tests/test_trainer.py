@@ -238,7 +238,7 @@ class TestInseparableStep:
         np.testing.assert_array_equal(new.theta, same.theta)
         pos, neg = partition(data)
         view = RankView(data.features @ model.theta, pos, neg)
-        _, grad = trainer_module._inseparable_grad(view, 1.0)
+        _, grad, _ = trainer_module._inseparable_grad(view, 1.0)
         eta = 1.0 / jacobian_norm_bound(data) ** 2
         np.testing.assert_allclose(
             new.theta, model.theta - eta * (data.features.T @ grad), rtol=1e-12
@@ -578,8 +578,10 @@ class TestUpdateRules:
             smoothed = SmoothedApConfig(k=0.25 + 0.25 * (b % 3), log_space=b % 2 == 1)
             cfg = TrainConfig(step_cfg=step, grad_opts=opts, smoothed=smoothed)
 
+            view = RankView(batch.scores, pos, neg, _cut(step, opts))
+
             def rule(kind):
-                return _UPDATE_RULES[kind](RankView(batch.scores, pos, neg, _cut(step, opts)), cfg)
+                return _UPDATE_RULES[kind](view, cfg)
 
             res = grad_accelerated(batch, step, opts)
             surrogate, grad, pruned = rule("error_driven_ap")
@@ -593,8 +595,40 @@ class TestUpdateRules:
 
             value, expected = auc_grad(batch, step)
             surrogate, grad, pruned = rule("auc")
-            assert (surrogate, pruned) == (value, 0)
+            assert (surrogate, pruned) == (value, view.below if pos.size and neg.size else 0)
             np.testing.assert_array_equal(grad, expected)
+
+    @pytest.mark.parametrize("scope", ["joint", "per_group"])
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize(
+        "step",
+        [StepConfig.heaviside(), StepConfig.piecewise(1.0), StepConfig.sigmoid(0.5)],
+        ids=lambda c: c.kind,
+    )
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_every_rule_accepts_the_view_train_builds(self, kind, step, prune, scope):
+        # Each rule reads the view ``_view_args`` asks for; a cut that the
+        # rule's kernel does not take would raise.  Every rule that runs the
+        # band kernel prunes at its step's cut and reports the count.
+        cfg = dict(
+            loss_kind=kind, step_cfg=step, grad_opts=GradOptions(prune_trivial_negatives=prune),
+            update_scope=scope, max_iters=1, stop_at_zero_loss=False,
+        )
+        if kind == "inseparable_ap" and step.kind != "piecewise":
+            with pytest.raises(ValueError, match="piecewise"):
+                TrainConfig(**cfg)
+            return
+        # One feature, the score at theta = 1: in each of the two groups
+        # four negatives sit below its lowest positive's ramp band.
+        scores = np.array([0.0, 1.5, -4.0, -3.0, -2.5, -1.25, -0.5, 0.25, 2.0])
+        labels = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0])
+        data = RankingDataset(
+            np.tile(scores, 2)[:, None], np.tile(labels, 2), np.repeat([0, 1], scores.shape[0])
+        )
+        _, trace = train(LinearModel(np.ones(1)), data, TrainConfig(**cfg))
+        assert trace.iterations == 1
+        prunes = prune and kind != "smoothed_ap_gd" and step.kind != "sigmoid"
+        assert (trace.pruned_neg[0] > 0) == prunes
 
 
 # Whole training traces pinned by sha256 (every column, the weight
@@ -645,27 +679,27 @@ PINNED_TRACES = {
     ),
     "auc_heaviside": (
         _OVERLAP, True, dict(loss_kind="auc", step_size=0.5, stop_at_zero_loss=False, max_iters=30),
-        "a1584d0e8c3303a2e696e71368d23399c6cb3b2768c4d57c84e3a7f6b6da1ce1",
+        "7b6faa980c9467f3c88748993c16ca92b1c4afb9954d095f533f5ba50eba46c8",
     ),
     "auc_ramp_per_group": (
         _SEPARABLE, True,
         dict(loss_kind="auc", step_cfg=_HALF, update_scope="per_group", max_iters=40),
-        "b43f42ad429f49b5da53d8693c7d128432ad5142a6e93cba99bbf64ffb93080e",
+        "7678ce24f5189cbb95f00ff3407fb9c88f8483c3c9694659f3a9afaa51216a7e",
     ),
     "auc_sigmoid": (
         _OVERLAP, True, dict(loss_kind="auc", step_cfg=_SIG, max_iters=20),
-        "6d2204c95f448bca94b11ac536a74f1a91ca546a27f3ea7e0fab9071f3c8476b",
+        "b92f259e366dff87323a53cbc74001fc6f94f17846cdfb40a8b91f15663dfffc",
     ),
     "inseparable_joint": (
         _OVERLAP, True,
         dict(loss_kind="inseparable_ap", step_cfg=_RAMP, stop_at_zero_loss=False, max_iters=40),
-        "9874e2122ff089cc7568bbe0622e365e679f4f78735103fea4c11ecb77cc2ea1",
+        "fc830712c9e2d2f8f16a5cbb8dbcfcae4263e97eed0f64bafcb1998863cefbf2",
     ),
     "inseparable_per_group": (
         _OVERLAP, True,
         dict(loss_kind="inseparable_ap", step_cfg=_HALF, update_scope="per_group",
              stop_at_zero_loss=False, max_iters=40, seed=4),
-        "4330be04f7e6f403c4f1625f0ee8bdac4b5040d318da153b09e26fd6a7aadc0a",
+        "aee60bb5c66863354034d412ed60fff6f877f53b8527d128cab51236f043b219",
     ),
 }
 
