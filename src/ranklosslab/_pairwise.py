@@ -22,11 +22,12 @@ equality, and an overflow to +-inf keeps its sign too.  So the counts
 dense row and column sums of ``step_value(diffs(...), HEAVISIDE)``
 exactly, and every quotient or sum built from them keeps its bits.
 
-One ``RankView`` holds each class of a batch sorted once, for every
-consumer at those scores: the exact loss and the hard denominators count
-from it, the accelerated gradient's band kernel reads the negatives'
-order from it for every rule that runs it, and the kernel's trivial
-negatives are the ones below its cut, which are never sorted.
+One ``RankView`` holds each class of a batch sorted once, built for the
+step of the kernel that reads it, which takes the step from the view: the
+exact loss and the hard denominators count from any view, the band kernel
+of a bounded step reads both classes' orders, the sigmoid kernel the
+positives' order, and a bounded step's trivial negatives, those below its
+cut, are only counted, never sorted.  A view with no step only counts.
 Every order it holds comes from one sort of packed int64 keys, the score's
 order-preserving bits with the element's index in the low bits, which
 gives the stable order and the sorted scores at once (``_sorted_order``).
@@ -48,7 +49,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .steps import StepConfig, step_value
+from .steps import PIECEWISE_KIND, SIGMOID_KIND, StepConfig, step_value
 
 
 def columns(pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -148,25 +149,31 @@ def _sorted_order(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RankView:
-    """A batch's scores with each class sorted once.
+    """A batch's scores with each class sorted once, for the kernel of ``step``.
 
-    Negatives below the ``cut`` are only counted (``below``), never sorted:
-    with s_min the lowest positive score, a negative is below a cut h > 0
-    when s_j - s_min <= -h, below a cut of 0 when s_j - s_min < 0, and
-    ``None`` keeps every negative.  Either way a negative below the cut
-    scores under every positive, so it adds to no Heaviside count.
-    ``neg_sorted`` holds the other negatives' scores ascending, and
+    With no ``step`` the view only counts: both classes are sorted by
+    ``np.sort`` and it holds no order.  For a bounded step (Heaviside or
+    ramp) with ``prune`` on, negatives below the step's cut are trivial:
+    their activation against every positive is exactly zero, so they are
+    only counted (``below``), never sorted.  With s_min the lowest positive
+    score, that is s_j - s_min <= -delta for the ramp and s_j - s_min < 0
+    for the hard step (an exact tie still activates).  The cut compares the
+    pairwise difference against the lowest positive, the same float the
+    step function sees, so pruning never disagrees with an unpruned
+    evaluation by even a rounding error.  A bounded step's view holds both
+    orders; a sigmoid view, whose step never vanishes, prunes nothing and
+    holds the positives' order alone.
+    ``neg_sorted`` holds the kept negatives' scores ascending, and
     ``neg_order`` their positions in ``neg`` in that order; ``pos_scores``
     holds the positives' scores in ``pos`` order, ``pos_sorted`` ascending
     and ``pos_order`` their stable ascending order (ties by sample index).
-    Every order comes from ``_sorted_order``'s one packed-key sort: with
-    ``ordered`` both orders and the sorted scores up front, otherwise the
-    scores alone are sorted and each order is taken on first use.
+    Every order comes with its sorted scores from ``_sorted_order``'s one
+    packed-key sort.
     """
 
     __slots__ = (
-        "scores", "pos", "neg", "cut", "below", "pos_scores", "pos_sorted", "neg_sorted",
-        "_kept", "_pos_order", "_neg_order",
+        "scores", "pos", "neg", "step", "below",
+        "pos_scores", "pos_sorted", "neg_sorted", "pos_order", "neg_order",
     )
 
     def __init__(
@@ -174,41 +181,32 @@ class RankView:
         scores: np.ndarray,
         pos: np.ndarray,
         neg: np.ndarray,
-        cut: float | None = None,
-        ordered: bool = False,
+        step: StepConfig | None = None,
+        prune: bool = True,
     ):
-        self.scores, self.pos, self.neg, self.cut = scores, pos, neg, cut
+        self.scores, self.pos, self.neg, self.step = scores, pos, neg, step
         self.pos_scores = s_pos = scores[pos]
         # Index arrays make fresh copies, so sorting them in place is safe.
-        s_neg, self._kept = scores[neg], None
-        if cut is not None and s_pos.shape[0]:
+        s_neg, kept = scores[neg], None
+        bounded = step is not None and step.kind != SIGMOID_KIND
+        if bounded and prune and s_pos.shape[0]:
             with np.errstate(over="ignore"):  # an overflow to -inf keeps its sign
                 diff = s_neg - s_pos.min()
-            self._kept = np.flatnonzero(diff > -cut if cut > 0.0 else diff >= 0.0)
-            s_neg = s_neg[self._kept]
+            ramp = step.kind == PIECEWISE_KIND
+            kept = np.flatnonzero(diff > -step.delta if ramp else diff >= 0.0)
+            s_neg = s_neg[kept]
         self.below = neg.shape[0] - s_neg.shape[0]
-        if ordered:
-            self._pos_order, self.pos_sorted = _sorted_order(s_pos)
-            order, self.neg_sorted = _sorted_order(s_neg)
-            self._neg_order = order if self._kept is None else self._kept[order]
+        self.pos_order = self.neg_order = None
+        if step is None:
+            self.pos_sorted = np.sort(s_pos)
         else:
-            self._pos_order = self._neg_order = None
-            self.pos_sorted, self.neg_sorted = s_pos.copy(), s_neg
-            self.pos_sorted.sort()
+            self.pos_order, self.pos_sorted = _sorted_order(s_pos)
+        if bounded:
+            order, self.neg_sorted = _sorted_order(s_neg)
+            self.neg_order = order if kept is None else kept[order]
+        else:
             s_neg.sort()
-
-    @property
-    def pos_order(self) -> np.ndarray:
-        if self._pos_order is None:
-            self._pos_order = _sorted_order(self.pos_scores)[0]
-        return self._pos_order
-
-    @property
-    def neg_order(self) -> np.ndarray:
-        if self._neg_order is None:
-            kept = np.arange(self.neg.shape[0]) if self._kept is None else self._kept
-            self._neg_order = kept[_sorted_order(self.scores[self.neg[kept]])[0]]
-        return self._neg_order
+            self.neg_sorted = s_neg
 
 
 def rank_counts(view: RankView) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _pairwise
 from .batch import SampleBatch, partition
-from .losses import _auc_core, _auc_view
+from .losses import _auc_core
 from .steps import HEAVISIDE, StepConfig
 
 
@@ -113,7 +113,7 @@ def auc_grad(
     to rounding.  Negatives below the step's pruning cut charge nothing
     and are never sorted.
     """
-    return _auc_core(_auc_view(batch, cfg), cfg)[:2]
+    return _auc_core(_pairwise.RankView(batch.scores, *partition(batch), cfg))[:2]
 
 
 def softmax_error_driven(x: np.ndarray, y: int) -> np.ndarray:

@@ -223,13 +223,15 @@ class GradcheckReport:
 def _rel_error(a: np.ndarray, b: np.ndarray) -> float:
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-    scale = np.maximum(np.abs(b), 1e-300)
-    err = np.abs(a - b)
-    # Entries that are exactly zero on both sides contribute no error.
-    mask = err > 0
-    if not mask.any():
+    # Entries equal on both sides, NaN on both included, contribute no error;
+    # a NaN on one side only disagrees without bound.
+    differ = (a != b) & ~(np.isnan(a) & np.isnan(b))
+    if not differ.any():
         return 0.0
-    return float((err[mask] / scale[mask]).max())
+    a, b = a[differ], b[differ]
+    with np.errstate(invalid="ignore"):
+        err = np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
+    return float(np.where(np.isnan(err), np.inf, err).max())
 
 
 def _random_batch(rng: np.random.Generator, max_n: int, max_pos: int) -> SampleBatch:

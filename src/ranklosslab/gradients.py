@@ -13,8 +13,9 @@ gradient.  Three routes compute it:
 * ``grad_accelerated`` -- the production path, which optionally drops
   trivial negatives (those scoring so far below every positive that their
   activation is exactly zero).  It reads the batch's rank view
-  (``_pairwise.RankView``), whose negatives are sorted once for the exact
-  loss and the update alike.  For the hard step and the ramp the view
+  (``_pairwise.RankView``), built for its step, whose classes are sorted
+  once for the exact loss and the update alike; the kernel takes the step
+  and the pruning from the view.  For the hard step and the ramp the view
   only counts the trivial negatives and sorts the rest; against each
   positive, the terms outside the step's transition band are exactly 0
   or 1 and are only counted, and the band terms are evaluated on the
@@ -151,23 +152,6 @@ def grad_reference(
     if normalize:
         grad /= p
     return GradResult(float(loss), grad, 0, precs)
-
-
-def _cut(cfg: StepConfig, opts: GradOptions) -> float | None:
-    """The rank view's cut below which negatives are trivial and pruned.
-
-    A negative is trivial when its activation against every positive is
-    exactly zero: at or below ``s_min - delta`` for the ramp, strictly
-    below the lowest positive score for the hard step (an exact tie still
-    activates).  The view compares the pairwise difference against the
-    lowest positive, the same float the step function would see, so
-    pruning never disagrees with an unpruned evaluation by even a
-    rounding error.  The sigmoid never vanishes, so nothing is trivial
-    there, and without pruning every negative is kept.
-    """
-    if cfg.kind == SIGMOID_KIND or not opts.prune_trivial_negatives:
-        return None
-    return cfg.delta if cfg.kind == PIECEWISE_KIND else 0.0
 
 
 # Band pairs evaluated together as one row group: each of the group's
@@ -320,11 +304,12 @@ def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
 
 
 def _accelerated_core(
-    view: _pairwise.RankView, cfg: StepConfig, opts: GradOptions, denom: np.ndarray | None = None
+    view: _pairwise.RankView, opts: GradOptions, denom: np.ndarray | None = None
 ) -> GradResult:
-    """Accelerated gradient on a batch's rank view (shared hot path); a
-    ``denom`` in ``pos`` order replaces the soft rank denominators."""
-    pos, neg = view.pos, view.neg
+    """Accelerated gradient on a rank view built for its step (shared hot
+    path), pruned as the view was built; a ``denom`` in ``pos`` order
+    replaces the soft rank denominators."""
+    pos, neg, cfg = view.pos, view.neg, view.step
     grad = np.zeros(view.scores.shape[0])
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
@@ -332,14 +317,10 @@ def _accelerated_core(
     if denom is not None:
         denom = denom[view.pos_order]
     if cfg.kind == SIGMOID_KIND:
-        pruned = 0
         loss, contrib, grad[neg], precs = _sigmoid_core(
             view.pos_sorted, view.scores[neg], cfg.k, opts.interpolated, denom
         )
     else:
-        if view.cut != _cut(cfg, opts):
-            raise ValueError(f"rank view cut {view.cut} is not this step's {_cut(cfg, opts)}")
-        pruned = view.below
         loss, contrib, neg_grad, precs = _sorted_band_core(
             view.pos_sorted, view.neg_sorted, cfg, opts.interpolated, denom
         )
@@ -348,7 +329,7 @@ def _accelerated_core(
     loss /= p
     if opts.normalize_by_positives:
         grad /= p
-    return GradResult(float(loss), grad, pruned, precs)
+    return GradResult(float(loss), grad, view.below, precs)
 
 
 def grad_accelerated(
@@ -368,6 +349,5 @@ def grad_accelerated(
     rounding; with it on, each row whose precision falls below the running
     maximum is rescaled so recorded precisions never decrease.
     """
-    pos, neg = partition(batch)
-    view = _pairwise.RankView(batch.scores, pos, neg, _cut(cfg, opts), cfg.kind != SIGMOID_KIND)
-    return _accelerated_core(view, cfg, opts)
+    view = _pairwise.RankView(batch.scores, *partition(batch), cfg, opts.prune_trivial_negatives)
+    return _accelerated_core(view, opts)

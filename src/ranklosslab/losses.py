@@ -8,14 +8,15 @@ pair equally.  Ties count against the positive: a negative scoring exactly
 equal to a positive is treated as ranked above it, which makes both losses
 deterministic on tied inputs.
 
-Each value takes one route.  The hard-step AP and AUC losses are the rank
-view's counts (``_pairwise.rank_counts``); the ramp and sigmoid AP losses
-are ``grad_accelerated``'s loss without pruning, and the ramp and sigmoid
-AUC losses are the AUC update's value (``_auc_core``: the accelerated
-kernel with every rank denominator 1); ``exact_metrics`` reads all three
-numbers off one rank view, the interpolated AP through the accelerated
-band kernel.  ``primary_terms`` builds one row of the pairwise block, and
-no loss builds a positives-by-negatives one.
+Each value takes one route.  The hard-step AP and AUC losses are the
+counts of a counting rank view (``_pairwise.rank_counts``); the ramp and
+sigmoid AP losses are ``grad_accelerated``'s loss without pruning, and the
+ramp and sigmoid AUC losses are the AUC update's value on a view built for
+their step (``_auc_core``: the accelerated kernel with every rank
+denominator 1); ``exact_metrics`` reads all three numbers off one view
+built for the hard step, the interpolated AP through the accelerated band
+kernel.  ``primary_terms`` builds one row of the pairwise block, and no
+loss builds a positives-by-negatives one.
 
 Loss values are 0 whenever a batch has no positives or no negatives, since
 no misorderable pair exists.
@@ -29,8 +30,8 @@ import numpy as np
 
 from . import _pairwise
 from .batch import SampleBatch, partition
-from .gradients import GradOptions, _accelerated_core, _cut, grad_accelerated
-from .steps import HEAVISIDE, HEAVISIDE_KIND, SIGMOID_KIND, StepConfig, step_value
+from .gradients import GradOptions, _accelerated_core, grad_accelerated
+from .steps import HEAVISIDE, HEAVISIDE_KIND, StepConfig, step_value
 
 
 def _ap_loss_core(view: _pairwise.RankView) -> float:
@@ -48,19 +49,12 @@ def _auc_loss_core(view: _pairwise.RankView) -> float:
     return float(_pairwise.rank_counts(view)[0].sum() / (pos.shape[0] * neg.shape[0]))
 
 
-def _auc_view(batch: SampleBatch, cfg: StepConfig) -> _pairwise.RankView:
-    """The AUC update's rank view: pruned at the step's cut, ordered unless sigmoid."""
-    cut = _cut(cfg, GradOptions())
-    return _pairwise.RankView(batch.scores, *partition(batch), cut, cfg.kind != SIGMOID_KIND)
-
-
-def _auc_core(view: _pairwise.RankView, cfg: StepConfig) -> tuple[float, np.ndarray, int]:
-    """AUC value, error-driven update and pruned count on a rank view: the
-    accelerated kernel with every rank denominator 1, unnormalized, scaled
-    by 1/(p q).  The view's cut, if any, must be this step's."""
+def _auc_core(view: _pairwise.RankView) -> tuple[float, np.ndarray, int]:
+    """AUC value, error-driven update and pruned count on a rank view built
+    for its step: the accelerated kernel with every rank denominator 1,
+    unnormalized, scaled by 1/(p q)."""
     p, q = view.pos.shape[0], view.neg.shape[0]
-    opts = GradOptions(prune_trivial_negatives=view.cut is not None, normalize_by_positives=False)
-    res = _accelerated_core(view, cfg, opts, np.ones(p))
+    res = _accelerated_core(view, GradOptions(normalize_by_positives=False), np.ones(p))
     grad = res.grad
     if p == 0 or q == 0:
         return 0.0, grad, 0
@@ -108,7 +102,7 @@ def auc_loss(batch: SampleBatch, cfg: StepConfig = HEAVISIDE) -> float:
     pos, neg = partition(batch)
     if cfg.kind == HEAVISIDE_KIND:
         return _auc_loss_core(_pairwise.RankView(batch.scores, pos, neg))
-    return _auc_core(_auc_view(batch, cfg), cfg)[0]
+    return _auc_core(_pairwise.RankView(batch.scores, pos, neg, cfg))[0]
 
 
 @dataclass(frozen=True)
@@ -122,6 +116,6 @@ class RankMetrics:
 
 def exact_metrics(batch: SampleBatch) -> RankMetrics:
     """Compute all hard-step metrics of a batch, for reporting, from one rank view."""
-    view = _pairwise.RankView(batch.scores, *partition(batch), 0.0, True)
-    interpolated = _accelerated_core(view, HEAVISIDE, GradOptions(interpolated=True))
+    view = _pairwise.RankView(batch.scores, *partition(batch), HEAVISIDE)
+    interpolated = _accelerated_core(view, GradOptions(interpolated=True))
     return RankMetrics(_ap_loss_core(view), _auc_loss_core(view), interpolated.loss)

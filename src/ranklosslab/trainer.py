@@ -27,12 +27,11 @@ from . import _pairwise
 from ._pairwise import RankView
 from .baselines import SmoothedApConfig, _smoothed_core
 from .batch import RankingDataset, SampleBatch, partition
-from .gradients import GradOptions, _accelerated_core, _cut
+from .gradients import GradOptions, _accelerated_core
 from .losses import _ap_loss_core, _auc_core
 from .steps import (
     HEAVISIDE,
     PIECEWISE_KIND,
-    SIGMOID_KIND,
     StepConfig,
     ramp_integral,
 )
@@ -139,24 +138,24 @@ def score_dataset(model: LinearModel, data: RankingDataset) -> SampleBatch:
     return SampleBatch(data.features @ model.theta, data.labels, data.group_ids)
 
 
-def _inseparable_grad(view: RankView, delta: float) -> tuple[float, np.ndarray, int]:
+def _inseparable_grad(view: RankView) -> tuple[float, np.ndarray, int]:
     """Margin-modified update: ramp numerator over a hard-rank denominator.
 
     Returns the smooth surrogate value (ramp-integral numerator over the
     same denominators), the normalized score gradient and the pruned
     count; the update is exactly gradient descent on that surrogate with
     the denominators frozen at the current weights.  The denominators are
-    the view's hard counts, and the update is the accelerated kernel at
-    the ramp's cut with them in place of its soft denominators.
+    the view's hard counts, and the update is the accelerated kernel on
+    the view, built for the ramp, with them in place of its soft
+    denominators.
     """
     pos, neg = view.pos, view.neg
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0, np.zeros(view.scores.shape[0]), 0
     denom = _pairwise.rank_counts(view)[1]
-    opts = GradOptions(prune_trivial_negatives=view.cut is not None)
-    res = _accelerated_core(view, StepConfig.piecewise(delta), opts, denom)
-    surrogate = float((_ramp_row_sums(view.scores, pos, neg, delta) / denom).sum() / p)
+    res = _accelerated_core(view, GradOptions(), denom)
+    surrogate = float((_ramp_row_sums(view.scores, pos, neg, view.step.delta) / denom).sum() / p)
     return surrogate, res.grad, res.pruned_negatives
 
 
@@ -192,28 +191,20 @@ def _resolve_step_size(cfg: TrainConfig, data: RankingDataset) -> float:
 
 
 def _error_driven_rule(view: RankView, cfg: TrainConfig):
-    res = _accelerated_core(view, cfg.step_cfg, cfg.grad_opts)
+    res = _accelerated_core(view, cfg.grad_opts)
     return res.loss, res.grad, res.pruned_negatives
 
 
-# The update rule of each loss kind, on a batch's rank view:
-# (view, cfg) -> (surrogate, score gradient, pruned negatives).
+# The update rule of each loss kind, on a batch's rank view built for
+# ``cfg.step_cfg`` (a counting view for the smoothed rule, which runs no
+# kernel): (view, cfg) -> (surrogate, score gradient, pruned negatives).
 _UPDATE_RULES = {
     "error_driven_ap": _error_driven_rule,
     "smoothed_ap_gd": lambda v, cfg: (*_smoothed_core(v.scores, v.pos, v.neg, cfg.smoothed), 0),
-    "auc": lambda v, cfg: _auc_core(v, cfg.step_cfg),
-    "inseparable_ap": lambda v, cfg: _inseparable_grad(v, cfg.step_cfg.delta),
+    "auc": lambda v, cfg: _auc_core(v),
+    "inseparable_ap": lambda v, cfg: _inseparable_grad(v),
 }
 LOSS_KINDS = tuple(_UPDATE_RULES)
-
-
-def _view_args(cfg: TrainConfig) -> tuple[float | None, bool]:
-    """The rank view a rule reads: its cut, and whether it reads the
-    negatives' order.  Every rule but the smoothed one runs the
-    accelerated kernel at its step's cut; the sigmoid reads no order."""
-    if cfg.loss_kind == "smoothed_ap_gd":
-        return None, False
-    return _cut(cfg.step_cfg, cfg.grad_opts), cfg.step_cfg.kind != SIGMOID_KIND
 
 _ONE_JOINT_ITERATION = dict(max_iters=1, stop_at_zero_loss=False, update_scope="joint")
 
@@ -258,19 +249,23 @@ def train(
 
     Each iteration evaluates the update batch (whole dataset, or one
     erring group in ``per_group`` scope) at the current weights, records a
-    trace row, and then applies the weight update.  Each batch's classes
-    are sorted once per iteration into a rank view that the exact loss and
-    the update rule both read: the trivial negatives of every rule that
-    runs the accelerated kernel (all but the smoothed one) are only
-    counted, and a joint batch orders the rest there, by one packed-key
-    sort, when the rule reads their order.  The views are
-    dropped before the weights move, so no sorted copy outlives its
-    iteration.
+    trace row, and then applies the weight update.  The update batch's
+    classes are sorted once per iteration into a rank view built for the
+    rule's step, which the rule reads: the trivial negatives of every rule
+    that runs the accelerated kernel (all but the smoothed one) are only
+    counted, and the orders the kernel reads come from one packed-key sort
+    per class.  A joint batch's exact loss reads the same view; in
+    ``per_group`` scope every group's loss comes from a counting view,
+    which chooses the group whose view is then built for the step.  The
+    views are dropped before the weights move, so no sorted copy outlives
+    its iteration.  Group id -1 marks the whole dataset in the trace, so
+    ``per_group`` scope refuses a dataset that uses it.
     Non-convergence is a recorded outcome, not an error; scores that
     overflow to inf or NaN raise ``ValueError`` naming the iteration.
     ``timing`` fills the trace's wall_ns column with measured times of the
-    update rule (a joint batch's up-front ordering sort is outside them);
-    otherwise the column is zero so traces stay byte-reproducible.
+    update rule (building the update batch's view, ordering sorts
+    included, is outside them); otherwise the column is zero so traces
+    stay byte-reproducible.
     """
     if model.dim != data.dim:
         raise ValueError(f"model dim {model.dim} does not match feature dim {data.dim}")
@@ -289,40 +284,41 @@ def train(
     per_group = cfg.update_scope == "per_group"
     if per_group:
         gids = data.groups()
+        if -1 in gids:
+            raise ValueError("per-group training refuses group id -1, the whole dataset's mark")
         batches = [(rows, *partition(data.subset(rows))) for rows in map(data.group_rows, gids)]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
-    # A joint batch's view orders its kept negatives up front, by one
-    # packed-key sort, when the rule reads their order, so one sort serves
-    # the loss and the rule.  Of the per-group views only the chosen one
-    # reaches the rule, whose view orders its classes on first use.
-    cut, ordered = _view_args(cfg)
-    ordered = ordered and not per_group
+    # The smoothed rule runs no kernel, so its view only counts.
+    step = None if cfg.loss_kind == "smoothed_ap_gd" else cfg.step_cfg
+    prune = cfg.grad_opts.prune_trivial_negatives
 
     # A diverging run overflows; the finiteness checks, not numpy's warnings, report it.
     with np.errstate(over="ignore"):
         for it in range(1, cfg.max_iters + 1):
             scores = _finite_scores(features, theta, it, cfg.loss_kind)
-            views = [RankView(scores[rows], pos, neg, cut, ordered) for rows, pos, neg in batches]
-            losses = [_ap_loss_core(view) for view in views]
             chosen = 0
             if per_group:
+                # Counting views choose the group; only its view is built for the step.
+                losses = [_ap_loss_core(RankView(scores[r], p, n)) for r, p, n in batches]
                 erring = [k for k, v in enumerate(losses) if v > 0.0]
                 if not erring:
                     if cfg.stop_at_zero_loss:
                         break
                     erring = list(range(len(gids)))
                 chosen = erring[int(rng.integers(len(erring)))]
-            rows = batches[chosen][0]
+            rows, pos, neg = batches[chosen]
+            view = RankView(scores[rows], pos, neg, step, prune)
+            loss = losses[chosen] if per_group else _ap_loss_core(view)
 
             t0 = time.perf_counter_ns()
-            surrogate, grad, pruned = rule(views[chosen], cfg)
+            surrogate, grad, pruned = rule(view, cfg)
             wall = time.perf_counter_ns() - t0 if timing else 0
-            del views
+            del view
 
-            trace.ap_loss.append(float(losses[chosen]))
+            trace.ap_loss.append(float(loss))
             trace.surrogate.append(float(surrogate))
             trace.wall_ns.append(int(wall))
             trace.pruned_neg.append(int(pruned))
@@ -332,7 +328,7 @@ def train(
 
             # Only a joint batch can reach here at zero loss with stopping on:
             # it records the zero-loss row, then stops.
-            if cfg.stop_at_zero_loss and losses[chosen] == 0.0:
+            if cfg.stop_at_zero_loss and loss == 0.0:
                 break
             theta -= eta * (features[rows].T @ grad)
 
@@ -349,12 +345,15 @@ def surrogate_loss(
     Numerators are ramp integrals of the pairwise differences scored by
     ``u``; denominators are the hard ranks scored by ``theta_hat`` (a
     training trajectory point).  Always at least delta/4 times the exact
-    loss when both arguments coincide.
+    loss when both arguments coincide.  Both must be finite: the rank
+    counts assume finite scores.
     """
     u = np.asarray(u, dtype=np.float64)
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     if u.shape[0] != data.dim or theta_hat.shape[0] != data.dim:
         raise ValueError("weight dimension does not match feature dimension")
+    if not (np.isfinite(u).all() and np.isfinite(theta_hat).all()):
+        raise ValueError("u and theta_hat must be finite")
     pos, neg = partition(data)
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:

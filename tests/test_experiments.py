@@ -21,6 +21,7 @@ from ranklosslab import (
     thread_count,
     train,
 )
+from ranklosslab import experiments
 from ranklosslab.experiments import (
     RESULT_HEADER,
     TRACE_HEADER,
@@ -160,6 +161,21 @@ class TestGradcheck:
         report = run_gradcheck(batches=80, seed=123)
         assert report.passed
         assert report.worst_rel_error < 1e-9
+
+    def test_nan_gradient_entries_fail(self, monkeypatch):
+        # A NaN against a finite oracle entry is an unbounded error, not agreement.
+        accelerated = experiments.grad_accelerated
+
+        def poisoned(*args, **kwargs):
+            res = accelerated(*args, **kwargs)
+            res.grad[0] = np.nan
+            return res
+
+        monkeypatch.setattr(experiments, "grad_accelerated", poisoned)
+        report = run_gradcheck(batches=20)
+        assert not report.passed
+        assert report.failures == 20
+        assert report.worst_rel_error == np.inf
 
 
 class TestCounterexample:

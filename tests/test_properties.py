@@ -140,12 +140,12 @@ def test_rank_counts_equal_the_dense_sums(batch):
     assert_same_bits(num, f[:, p:].sum(axis=1))
     assert_same_bits(denom, 1.0 + f.sum(axis=1) - f.diagonal())
     q = neg.shape[0]
-    for cut in (None, 0.0, 1.0):
-        for ordered in (False, True):
-            view = RankView(batch.scores, pos, neg, cut, ordered)
+    for step in (HEAVISIDE, StepConfig.piecewise(1.0), StepConfig.sigmoid(0.5)):
+        for prune in (False, True):
+            view = RankView(batch.scores, pos, neg, step, prune)
             assert_same_bits(rank_counts(view)[1], denom)
-            if p and q and cut != 1.0:  # the Heaviside AUC's column sums
-                cols = _auc_core(view, HEAVISIDE)[1][neg]
+            if p and q and step == HEAVISIDE:  # the Heaviside AUC's column sums
+                cols = _auc_core(view)[1][neg]
                 assert_same_bits(cols, f[:, p:].sum(axis=0) * (1.0 / (p * q)))
 
 
@@ -194,9 +194,9 @@ def test_inseparable_surrogate_keeps_the_dense_bits(batch, u, delta):
         surrogate = float((ramp_integral(block, delta).sum(axis=1) / denom).sum() / p)
         ramp_u = ramp_integral(diff_block(data.features @ u, pos, neg), delta).sum(axis=1)
         at_u = float((ramp_u / denom).sum() / p)
-    for cut in (None, delta):
-        value, _, _ = _inseparable_grad(RankView(scores, pos, neg, cut), delta)
-        assert_same_bits(value, surrogate)
+    for prune in (False, True):
+        view = RankView(scores, pos, neg, StepConfig.piecewise(delta), prune)
+        assert_same_bits(_inseparable_grad(view)[0], surrogate)
     assert_same_bits(surrogate_loss(u, data, theta_hat, delta), at_u)
 
 
@@ -418,28 +418,22 @@ VIEW_KINDS = (*BATCH_KINDS, "cut_edge")
 @given(st.data(), st.sampled_from(STEPS), st.booleans(), st.booleans())
 def test_rank_view_keeps_the_standalone_bits(kind, data, step, interpolated, normalize):
     # Loss, counts, gradient and pruned count, bit for bit, with pruning on
-    # and off, whether the view orders its negatives up front or on first use.
+    # and off, on a counting view and on views built for each step kind.
     h = step.delta if step.kind == "piecewise" else 0.0
     batch = data.draw(cut_edge_batches(h) if kind == "cut_edge" else BATCH_KINDS[kind])
     scores, (pos, neg) = batch.scores, partition(batch)
     num, denom, cols = standalone_counts(scores, pos, neg)
     p, q = pos.shape[0], neg.shape[0]
-    for cut in (None, 0.0, h or 0.5):
-        for ordered in (False, True):
-            view = RankView(scores, pos, neg, cut, ordered)
+    for view_step in (None, HEAVISIDE, StepConfig.piecewise(h or 0.5), StepConfig.sigmoid(0.5)):
+        for prune in (False, True):
+            view = RankView(scores, pos, neg, view_step, prune)
             assert_same_bits(rank_counts(view)[0], num)
             assert_same_bits(rank_counts(view)[1], denom)
-            if p and q and cut != (h or 0.5):  # the Heaviside AUC's column sums
-                assert_same_bits(_auc_core(view, HEAVISIDE)[1][neg], cols * (1.0 / (p * q)))
+            if p and q and view_step == HEAVISIDE:  # the Heaviside AUC's column sums
+                assert_same_bits(_auc_core(view)[1][neg], cols * (1.0 / (p * q)))
     for prune in (False, True):
         opts = GradOptions(interpolated, prune, normalize)
         loss, grad, pruned = standalone_accelerated(scores, pos, neg, step, opts)
-        cut = gradients._cut(step, opts)
-        for ordered in (False, True):
-            res = gradients._accelerated_core(RankView(scores, pos, neg, cut, ordered), step, opts)
-            assert_same_bits(res.loss, loss)
-            assert_same_bits(res.grad, grad)
-            assert res.pruned_negatives == pruned
         res = grad_accelerated(batch, step, opts)
         assert_same_bits(res.grad, grad)
         assert (res.loss, res.pruned_negatives) == (loss, pruned)
@@ -489,15 +483,13 @@ def test_auc_routes_match_the_dense_definition(kind, data, step, bound):
         actual_value, actual_grad = auc_grad(batch, step)
         assert_matches_dense(actual_value, value)
         assert_matches_dense(actual_grad, grad)
-        # The training rule's views: pruned at the step's cut or not, the
-        # negatives ordered up front or on first use.
-        for cut in {None, gradients._cut(step, GradOptions())}:
-            for ordered in (False, True):
-                view = RankView(scores, pos, neg, cut, ordered)
-                actual_value, actual_grad, pruned = _auc_core(view, step)
-                assert_matches_dense(actual_value, value)
-                assert_matches_dense(actual_grad, grad)
-                assert pruned == (view.below if p and q else 0)
+        # The training rule's views: built for the step, pruned or not.
+        for prune in (False, True):
+            view = RankView(scores, pos, neg, step, prune)
+            actual_value, actual_grad, pruned = _auc_core(view)
+            assert_matches_dense(actual_value, value)
+            assert_matches_dense(actual_grad, grad)
+            assert pruned == (view.below if p and q else 0)
 
 
 @OVERFLOW_OK
@@ -517,12 +509,11 @@ def test_margin_modified_update_matches_the_dense_definition(kind, data, delta, 
         grad[pos] = -terms.sum(axis=1) / p
         grad[neg] = terms.sum(axis=0) / p
     with mock.patch.object(gradients, "_GROUP_PAIRS", bound):
-        for cut in (None, delta):
-            for ordered in (False, True):
-                view = RankView(scores, pos, neg, cut, ordered)
-                _, update, pruned = _inseparable_grad(view, delta)
-                assert_matches_dense(update, grad)
-                assert pruned == (view.below if p and q else 0)
+        for prune in (False, True):
+            view = RankView(scores, pos, neg, StepConfig.piecewise(delta), prune)
+            _, update, pruned = _inseparable_grad(view)
+            assert_matches_dense(update, grad)
+            assert pruned == (view.below if p and q else 0)
 
 
 @st.composite

@@ -29,8 +29,8 @@ from ranklosslab import (
 )
 from ranklosslab.experiments import GD_FAILURE_INIT, gd_failure_dataset
 from ranklosslab import trainer as trainer_module
+from ranklosslab import _pairwise
 from ranklosslab._pairwise import RankView
-from ranklosslab.gradients import _cut
 from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
 from helpers import random_batch_arrays, trace_digest
 
@@ -161,6 +161,15 @@ class TestTrainConvergence:
         assert trace.iterations == 40
         assert len(calls) == 40 * 3 + 1  # every group each iteration, plus the final joint loss
 
+    def test_per_group_scope_refuses_group_id_minus_one(self):
+        # -1 marks the whole dataset in a trace, so the bound replay would
+        # read a group with that id as the whole dataset.
+        data = RankingDataset(np.eye(4), np.array([1, 0, 1, 0]), np.array([-1, -1, 0, 0]))
+        with pytest.raises(ValueError, match="-1"):
+            train(LinearModel(np.zeros(4)), data, TrainConfig(update_scope="per_group"))
+        _, trace = train(LinearModel(np.zeros(4)), data, TrainConfig(max_iters=1))
+        assert trace.group_id == [-1]
+
     @pytest.mark.parametrize("scope, rows", [("joint", 1), ("per_group", 0)])
     def test_stop_rule_of_each_scope_from_a_separating_start(self, scope, rows):
         # A joint run records its zero-loss row and stops; a per-group run
@@ -237,8 +246,8 @@ class TestInseparableStep:
         same = inseparable_step(model, data, TrainConfig(loss_kind="inseparable_ap", step_cfg=ramp))
         np.testing.assert_array_equal(new.theta, same.theta)
         pos, neg = partition(data)
-        view = RankView(data.features @ model.theta, pos, neg)
-        _, grad, _ = trainer_module._inseparable_grad(view, 1.0)
+        view = RankView(data.features @ model.theta, pos, neg, ramp)
+        _, grad, _ = trainer_module._inseparable_grad(view)
         eta = 1.0 / jacobian_norm_bound(data) ** 2
         np.testing.assert_allclose(
             new.theta, model.theta - eta * (data.features.T @ grad), rtol=1e-12
@@ -315,6 +324,19 @@ class TestSurrogateLoss:
         data = gd_failure_dataset()
         with pytest.raises(ValueError):
             surrogate_loss(np.zeros(3), data, np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_comparator_is_refused(self, bad):
+        data = RankingDataset(np.eye(3), np.array([1, 0, 0]))
+        with pytest.raises(ValueError, match="finite"):
+            surrogate_loss(np.array([bad, 0.0, 0.0]), data, np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trajectory_point_is_refused(self, bad):
+        # The hard ranks at theta_hat assume finite scores.
+        data = RankingDataset(np.eye(3), np.array([1, 0, 0]))
+        with pytest.raises(ValueError, match="finite"):
+            surrogate_loss(np.zeros(3), data, np.array([bad, 0.0, 0.0]), 1.0)
 
     def test_two_argument_form_hand_case(self):
         # Identity features: one positive (row 0), two negatives.  The
@@ -578,7 +600,7 @@ class TestUpdateRules:
             smoothed = SmoothedApConfig(k=0.25 + 0.25 * (b % 3), log_space=b % 2 == 1)
             cfg = TrainConfig(step_cfg=step, grad_opts=opts, smoothed=smoothed)
 
-            view = RankView(batch.scores, pos, neg, _cut(step, opts))
+            view = RankView(batch.scores, pos, neg, step, opts.prune_trivial_negatives)
 
             def rule(kind):
                 return _UPDATE_RULES[kind](view, cfg)
@@ -607,9 +629,9 @@ class TestUpdateRules:
     )
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_every_rule_accepts_the_view_train_builds(self, kind, step, prune, scope):
-        # Each rule reads the view ``_view_args`` asks for; a cut that the
-        # rule's kernel does not take would raise.  Every rule that runs the
-        # band kernel prunes at its step's cut and reports the count.
+        # Each rule reads the view ``train`` builds for its step.  Every rule
+        # that runs the band kernel prunes at its step's cut and reports the
+        # count.
         cfg = dict(
             loss_kind=kind, step_cfg=step, grad_opts=GradOptions(prune_trivial_negatives=prune),
             update_scope=scope, max_iters=1, stop_at_zero_loss=False,
@@ -629,6 +651,40 @@ class TestUpdateRules:
         assert trace.iterations == 1
         prunes = prune and kind != "smoothed_ap_gd" and step.kind != "sigmoid"
         assert (trace.pruned_neg[0] > 0) == prunes
+
+    @pytest.mark.parametrize("scope", ["joint", "per_group"])
+    @pytest.mark.parametrize(
+        "kind, step, sorts",
+        [
+            ("error_driven_ap", StepConfig.heaviside(), 2),
+            ("error_driven_ap", StepConfig.piecewise(1.0), 2),
+            ("auc", StepConfig.piecewise(0.5), 2),
+            ("inseparable_ap", StepConfig.piecewise(1.0), 2),
+            ("error_driven_ap", StepConfig.sigmoid(0.5), 1),
+            ("auc", StepConfig.sigmoid(0.5), 1),
+            ("smoothed_ap_gd", StepConfig.heaviside(), 0),
+        ],
+        ids=["ed_heaviside", "ed_ramp", "auc_ramp", "inseparable", "ed_sigmoid", "auc_sigmoid",
+             "smoothed"],
+    )
+    def test_each_class_is_ordered_once_per_iteration(self, monkeypatch, kind, step, sorts, scope):
+        # One packed-key sort per class whose order the rule's kernel reads:
+        # both classes for a bounded step, the positives for the sigmoid and
+        # none for the smoothed rule, whose views only count.
+        calls = []
+        sorted_order = _pairwise._sorted_order
+        monkeypatch.setattr(
+            _pairwise, "_sorted_order", lambda s: calls.append(1) or sorted_order(s)
+        )
+        data = generate(
+            SynthConfig(dim=4, positives=9, negatives=30, groups=3, margin=-0.5, seed=2)
+        )
+        cfg = TrainConfig(
+            loss_kind=kind, step_cfg=step, update_scope=scope, max_iters=12, stop_at_zero_loss=False
+        )
+        _, trace = train(LinearModel(np.zeros(4)), data, cfg)
+        assert trace.iterations == 12
+        assert len(calls) == sorts * 12
 
 
 # Whole training traces pinned by sha256 (every column, the weight
