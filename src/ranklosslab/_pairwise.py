@@ -27,12 +27,16 @@ step of the kernel that reads it, which takes the step from the view: the
 exact loss and the hard denominators count from any view, the band kernel
 of a bounded step reads both classes' orders, the sigmoid kernel the
 positives' order, and a bounded step's trivial negatives, those below its
-cut, are only counted, never sorted.  A view with no step only counts.
+cut, are only counted, never sorted.  A view with no step only counts,
+and a counting view is built for a step by ``RankView.for_step``, which
+sorts no class again that the step's view would sort the same way.
 Every order it holds comes from one sort of packed int64 keys, the score's
-order-preserving bits with the element's index in the low bits, which
-gives the stable order and the sorted scores at once (``_sorted_order``).
-Tied scores are interchangeable in every one of these, so any sort order
-of them gives the same bits.
+order-preserving bits with an index in the low bits, which gives the
+stable order and the sorted scores at once (``_sorted_order``).  The
+negatives' keys hold their sample indices and are compressed by the cut
+mask, so the kernel scatters through the order itself.  Tied scores are
+interchangeable in every one of these, so any sort order of them gives
+the same bits.
 
 The sigmoid has no bounded support, so its rows are built whole, by
 ``sigmoid_rows`` alone, for the smoothed baseline and the sigmoid
@@ -45,6 +49,7 @@ each pair takes one bounded ``exp`` of its own difference instead.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator
 
 import numpy as np
@@ -121,30 +126,52 @@ def sigmoid_rows(
         yield i0, i1, sig, d
 
 
-def _sorted_order(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, s[order]) with ``order`` the stable ascending order of the
-    finite doubles ``s``, from one in-place sort of packed int64 keys.
+def _sorted_order(
+    scores: np.ndarray,
+    index: np.ndarray | None = None,
+    values: np.ndarray | None = None,
+    keep: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(order, scores[order]): the entries of ``index[keep]`` (all of
+    ``index`` when ``keep`` is None) in the stable ascending order of their
+    ``values = scores[index]``, finite doubles, from one in-place sort of
+    packed int64 keys.  With no ``index`` the order is of positions in
+    ``scores``.
 
-    A key is the score's order-preserving integer image (-0.0 folded into
-    +0.0, the low 63 bits of a negative score flipped) with its low
-    b = (m - 1).bit_length() bits replaced by the element's index, so the
-    sort orders by score and ties by index, and the order is read back
-    from the low bits.  Two different scores within 2^b ulps can share a
-    key's high bits and come out by index instead; then the gathered
-    scores do not ascend, and a stable ``np.argsort`` gives the order.
+    A key is the value's order-preserving integer image (-0.0 folded into
+    +0.0, the low 63 bits of a negative value flipped) with its low
+    b = (len(scores) - 1).bit_length() bits replaced by the entry of
+    ``index``, so the sort orders by value and ties by index, and the
+    order is read back from the low bits.  The keys are compressed by
+    ``keep`` only once built, with no positions taken.  Two different
+    values within 2^b ulps can share a key's high bits and come out by
+    index instead, and ties come out by index, not by position in
+    ``index``; if the gathered scores do not ascend, or tie while ``index``
+    does not ascend, a stable ``np.argsort`` gives the order instead.
     """
-    m = s.shape[0]
-    keys = (s + 0.0).view(np.int64)  # a fresh array; -0.0 + 0.0 is +0.0
-    keys ^= (keys >> 63) & 0x7FFF_FFFF_FFFF_FFFF
-    low = (1 << max(m - 1, 0).bit_length()) - 1
+    if index is None:
+        index, values = np.arange(scores.shape[0]), scores
+    keys = (values + 0.0).view(np.int64)  # a fresh array; -0.0 + 0.0 is +0.0
+    flip = keys >> 63
+    flip &= 0x7FFF_FFFF_FFFF_FFFF
+    keys ^= flip
+    del flip  # one temporary of the keys' size at a time
+    low = (1 << max(scores.shape[0] - 1, 0).bit_length()) - 1
     keys &= ~low
-    keys |= np.arange(m)
+    keys |= index
+    if keep is not None:
+        keys = keys.compress(keep)  # twice as fast as keys[keep] at 50,000
     keys.sort()
     order = np.bitwise_and(keys, low, out=keys)
-    s_sorted = s[order]
-    if not (s_sorted[1:] >= s_sorted[:-1]).all():
-        order = np.argsort(s, kind="stable")
-        s_sorted = s[order]
+    s_sorted = scores[order]
+    up, down = s_sorted[1:], s_sorted[:-1]
+    if not (up > down).all() and not (
+        (up >= down).all() and (index[1:] > index[:-1]).all()
+    ):
+        if keep is not None:
+            index, values = index.compress(keep), values.compress(keep)
+        order = index[np.argsort(values, kind="stable")]
+        s_sorted = scores[order]
     return order, s_sorted
 
 
@@ -164,16 +191,19 @@ class RankView:
     orders; a sigmoid view, whose step never vanishes, prunes nothing and
     holds the positives' order alone.
     ``neg_sorted`` holds the kept negatives' scores ascending, and
-    ``neg_order`` their positions in ``neg`` in that order; ``pos_scores``
-    holds the positives' scores in ``pos`` order, ``pos_sorted`` ascending
-    and ``pos_order`` their stable ascending order (ties by sample index).
-    Every order comes with its sorted scores from ``_sorted_order``'s one
-    packed-key sort.
+    ``neg_index`` their sample indices (into ``scores``) in that order,
+    ties in ``neg`` order; ``pos_scores`` holds the positives' scores in
+    ``pos`` order, ``pos_sorted`` ascending and ``pos_order`` their
+    positions in ``pos`` in stable ascending order.  Every order comes with
+    its sorted scores from ``_sorted_order``'s one packed-key sort, and the
+    negatives' keys carry their sample indices, so the cut only compresses
+    the keys and the kernel scatters through ``neg_index`` directly.  A
+    counting view is built for a step by ``for_step``.
     """
 
     __slots__ = (
         "scores", "pos", "neg", "step", "below",
-        "pos_scores", "pos_sorted", "neg_sorted", "pos_order", "neg_order",
+        "pos_scores", "pos_sorted", "neg_sorted", "pos_order", "neg_index",
     )
 
     def __init__(
@@ -187,26 +217,39 @@ class RankView:
         self.scores, self.pos, self.neg, self.step = scores, pos, neg, step
         self.pos_scores = s_pos = scores[pos]
         # Index arrays make fresh copies, so sorting them in place is safe.
-        s_neg, kept = scores[neg], None
+        s_neg, keep = scores[neg], None
         bounded = step is not None and step.kind != SIGMOID_KIND
         if bounded and prune and s_pos.shape[0]:
             with np.errstate(over="ignore"):  # an overflow to -inf keeps its sign
                 diff = s_neg - s_pos.min()
-            ramp = step.kind == PIECEWISE_KIND
-            kept = np.flatnonzero(diff > -step.delta if ramp else diff >= 0.0)
-            s_neg = s_neg[kept]
-        self.below = neg.shape[0] - s_neg.shape[0]
-        self.pos_order = self.neg_order = None
+            keep = diff > -step.delta if step.kind == PIECEWISE_KIND else diff >= 0.0
+        self.pos_order = self.neg_index = None
         if step is None:
             self.pos_sorted = np.sort(s_pos)
         else:
             self.pos_order, self.pos_sorted = _sorted_order(s_pos)
         if bounded:
-            order, self.neg_sorted = _sorted_order(s_neg)
-            self.neg_order = order if kept is None else kept[order]
+            self.neg_index, self.neg_sorted = _sorted_order(scores, neg, s_neg, keep)
         else:
             s_neg.sort()
             self.neg_sorted = s_neg
+        self.below = neg.shape[0] - self.neg_sorted.shape[0]
+
+    def for_step(self, step: StepConfig | None, prune: bool = True) -> RankView:
+        """The view ``RankView(scores, pos, neg, step, prune)`` of this
+        counting view's batch, sorting no class again whose sort this view
+        already holds: this view itself for no step; for the sigmoid, which
+        prunes nothing and sorts its negatives as this view did, a copy
+        with the positives' order added; for a bounded step, a view built
+        anew."""
+        if step is None:
+            return self
+        if step.kind != SIGMOID_KIND:
+            return RankView(self.scores, self.pos, self.neg, step, prune)
+        view = copy.copy(self)
+        view.step = step
+        view.pos_order, view.pos_sorted = _sorted_order(self.pos_scores)
+        return view
 
 
 def rank_counts(view: RankView) -> tuple[np.ndarray, np.ndarray]:

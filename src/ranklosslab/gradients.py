@@ -21,8 +21,10 @@ gradient.  Three routes compute it:
   or 1 and are only counted, and the band terms are evaluated on the
   actual differences, a group of positives in one pass and tied
   positives once.  The negatives' gradient goes back through the view's
-  order in one scatter, so a call costs O(n) plus O(k log k) for the k
-  kept negatives, plus the band pairs.  The sigmoid, whose transition has
+  order, which holds their sample indices, in one scatter, so a call
+  costs O(n) plus O(k log k) for the k kept negatives, plus the band
+  pairs; what each positive adds above its band costs O(p) plus one
+  repeat over the kept negatives.  The sigmoid, whose transition has
   no bounded width, reduces the rows of ``_pairwise.sigmoid_rows`` in
   ascending positive order, the negatives' gradient one matrix-vector
   product per chunk of rows.
@@ -42,6 +44,7 @@ from .steps import (
     PIECEWISE_KIND,
     SIGMOID_KIND,
     StepConfig,
+    _step_array,
     _step_scalar,
     step_value,
 )
@@ -158,8 +161,11 @@ def grad_reference(
 # temporaries takes 64 kB, and a band that fills a group alone is evaluated
 # on its own slice of the sorted scores, with no index arrays.  Over the
 # kernel's calls in the error-driven sweep at 1:1000, bounds of 2^12 and
-# 2^14 were slower.
+# 2^14 were slower.  A group's term indices are offsets on one shared,
+# read-only index ramp.
 _GROUP_PAIRS = 1 << 13
+_RAMP = np.arange(_GROUP_PAIRS)
+_RAMP.flags.writeable = False
 
 
 def _band_groups(t, s, lo, hi, cfg):
@@ -169,7 +175,8 @@ def _band_groups(t, s, lo, hi, cfg):
     the oracles compute, for each row i and each j in its band, row after
     row; ``sums`` holds each row's sum of them, and ``cols`` each term's
     index into t[lo[a]:], or is None for a band alone, whose terms are
-    those of t[lo[a]:hi[a]].  Both edges must ascend with the rows."""
+    those of t[lo[a]:hi[a]].  ``f`` is the caller's to overwrite.  Both
+    edges must ascend with the rows."""
     sizes = hi - lo
     ends = np.add.accumulate(sizes)
     starts = ends - sizes
@@ -178,12 +185,18 @@ def _band_groups(t, s, lo, hi, cfg):
     while a < s.shape[0]:
         b = max(a + 1, int(ends.searchsorted(starts[a] + _GROUP_PAIRS, "right")))
         if b == a + 1:
-            f = step_value(t[lo[a] : hi[a]] - s[a], cfg)
+            f = np.subtract(t[lo[a] : hi[a]], s[a])
+            _step_array(f, cfg, out=f)
             yield a, b, f, f.sum(), None
         else:
             n = sizes[a:b]
-            cols = np.arange(starts[a] - lo[a], ends[b - 1] - lo[a]) + np.repeat(shift[a:b], n)
-            f = step_value(t[lo[a] :][cols] - np.repeat(s[a:b], n), cfg)
+            # Row i's terms sit at t[lo[a]:][k - starts[a] + shift[i]] for k
+            # running over starts[i]..ends[i] - 1.
+            cols = np.repeat(shift[a:b] - shift[a], n)
+            cols += _RAMP[: ends[b - 1] - starts[a]]
+            f = t[lo[a] :][cols]
+            f -= np.repeat(s[a:b], n)
+            _step_array(f, cfg, out=f)
             # np.add.reduceat reads an empty band as the next band's first
             # term, so only the rows with a term are reduced.
             some = n > 0
@@ -200,14 +213,14 @@ def _precisions(num, denom, interpolated, max_prec):
     ``max_prec``) is rescaled up to it."""
     frac = num / denom
     prec = 1.0 - frac
+    if not interpolated:
+        return 1.0 / denom, frac, prec, max_prec
     scale = np.ones(num.shape[0])
-    if interpolated:
-        best = np.maximum(np.maximum.accumulate(prec), max_prec)
-        low = prec < best
-        scale[low] = (1.0 - best[low]) / (1.0 - prec[low])
-        prec[low] = best[low]
-        max_prec = best[-1]
-    return scale / denom, frac * scale, prec, max_prec
+    best = np.maximum(np.maximum.accumulate(prec), max_prec)
+    low = prec < best
+    scale[low] = (1.0 - best[low]) / (1.0 - prec[low])
+    prec[low] = best[low]
+    return scale / denom, frac * scale, prec, best[-1]
 
 
 def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
@@ -274,17 +287,40 @@ def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
             run = np.repeat(np.arange(b - a), counts[a:b])
             weight = np.bincount(run, weights=weight[run])
         if cols is None:
-            g[lo[a] : hi[a]] += f * weight[0]
+            f *= weight[0]
+            g[lo[a] : hi[a]] += f
         else:
-            g[lo[a] : hi[b - 1]] += np.bincount(
-                cols, weights=f * np.repeat(weight, hi[a:b] - lo[a:b]), minlength=hi[b - 1] - lo[a]
-            )
+            f *= np.repeat(weight, hi[a:b] - lo[a:b])
+            g[lo[a] : hi[b - 1]] += np.bincount(cols, weights=f, minlength=hi[b - 1] - lo[a])
     if counts is not None:
         w, contrib, precs, hi = (np.repeat(x, counts) for x in (w, contrib, precs, hi))
-    # Above its band each positive adds w_i to every negative: a difference
-    # array over the sorted negatives, summed once.
-    g += np.bincount(hi, weights=w, minlength=m + 1).cumsum()[:-1]
+    # Above its band each positive adds w_i to every negative; below the
+    # lowest band end nothing is added, and g holds no -0.0 that adding
+    # +0.0 would change.
+    g[hi[0] :] += _above_band(hi, w, m)
     return float(contrib.sum()), contrib, g, precs
+
+
+def _above_band(hi, w, m):
+    """Entries hi[0]..m-1 of what the positives add above their bands:
+    negative j of the m sorted ones gets the sum of w_i over the positives
+    with hi_i <= j, taken in ascending positive order.  ``hi`` ascends and
+    ``w`` is not negative.
+
+    These are the bits of ``np.bincount(hi, weights=w, minlength=m +
+    1).cumsum()[hi[0]:-1]`` in O(p) work plus one ``np.repeat``.
+    ``bincount`` sums each bin from +0.0 in input order, here once per run
+    of equal ``hi``, into the bin of the run's first positive
+    (``np.add.reduceat`` would not give its bits).  Between distinct ``hi``
+    the m-length prefix only adds +0.0, which leaves a non-negative sum as
+    it is, so the p-length prefix of the run sums holds every value it
+    takes, and each value is repeated over the gap to the next ``hi``.
+    """
+    gaps = np.empty_like(hi)
+    gaps[-1] = m - hi[-1]
+    np.subtract(hi[1:], hi[:-1], out=gaps[:-1])
+    prefix = np.bincount(hi.searchsorted(hi), weights=w, minlength=hi.shape[0]).cumsum()
+    return np.repeat(prefix, gaps)
 
 
 def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
@@ -324,7 +360,7 @@ def _accelerated_core(
         loss, contrib, neg_grad, precs = _sorted_band_core(
             view.pos_sorted, view.neg_sorted, cfg, opts.interpolated, denom
         )
-        grad[neg[view.neg_order]] = neg_grad
+        grad[view.neg_index] = neg_grad
     grad[pos[view.pos_order]] -= contrib
     loss /= p
     if opts.normalize_by_positives:

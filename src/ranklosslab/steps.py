@@ -92,15 +92,22 @@ def _step_scalar(x: float, cfg: StepConfig) -> float:
     return e / (1.0 + e)
 
 
-def _step_array(x: np.ndarray, cfg: StepConfig) -> np.ndarray:
+def _step_array(x: np.ndarray, cfg: StepConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """The step at each entry of ``x``, written into the float64 ``out``
+    when given (which may be ``x`` itself), with the same bits either way."""
     if cfg.kind == HEAVISIDE_KIND:
-        return (x >= 0.0).astype(np.float64)
+        if out is None:
+            return (x >= 0.0).astype(np.float64)
+        return np.greater_equal(x, 0.0, out=out)
     if cfg.kind == PIECEWISE_KIND:
-        return np.clip(x / (2.0 * cfg.delta) + 0.5, 0.0, 1.0)
+        y = np.divide(x, 2.0 * cfg.delta, out=out)
+        y += 0.5
+        return np.clip(y, 0.0, 1.0, out=out)
     # Logistic with exp(-|z|) <= 1, so exp() never overflows on either side.
     z = x / cfg.k
     e = np.exp(-np.abs(z))
-    return (np.where(z >= 0.0, 1.0, e) / (1.0 + e)).astype(np.float64, copy=False)
+    y = np.divide(np.where(z >= 0.0, 1.0, e), 1.0 + e, out=out)
+    return y.astype(np.float64, copy=False)
 
 
 def ramp_integral(x, delta: float):

@@ -256,10 +256,12 @@ def train(
     counted, and the orders the kernel reads come from one packed-key sort
     per class.  A joint batch's exact loss reads the same view; in
     ``per_group`` scope every group's loss comes from a counting view,
-    which chooses the group whose view is then built for the step.  The
-    views are dropped before the weights move, so no sorted copy outlives
-    its iteration.  Group id -1 marks the whole dataset in the trace, so
-    ``per_group`` scope refuses a dataset that uses it.
+    and the chosen group's counting view is then built for the step
+    (``RankView.for_step``), so only a bounded step sorts that group's
+    negatives a second time, its kept ones.  The views are dropped before
+    the weights move, so no sorted copy outlives its iteration.  Group
+    id -1 marks the whole dataset in the trace, so ``per_group`` scope
+    refuses a dataset that uses it.
     Non-convergence is a recorded outcome, not an error; scores that
     overflow to inf or NaN raise ``ValueError`` naming the iteration.
     ``timing`` fills the trace's wall_ns column with measured times of the
@@ -299,19 +301,23 @@ def train(
     with np.errstate(over="ignore"):
         for it in range(1, cfg.max_iters + 1):
             scores = _finite_scores(features, theta, it, cfg.loss_kind)
-            chosen = 0
             if per_group:
-                # Counting views choose the group; only its view is built for the step.
-                losses = [_ap_loss_core(RankView(scores[r], p, n)) for r, p, n in batches]
+                # Counting views choose the group, and the chosen one is built for the step.
+                views = [RankView(scores[r], p, n) for r, p, n in batches]
+                losses = [_ap_loss_core(v) for v in views]
                 erring = [k for k, v in enumerate(losses) if v > 0.0]
                 if not erring:
                     if cfg.stop_at_zero_loss:
                         break
                     erring = list(range(len(gids)))
                 chosen = erring[int(rng.integers(len(erring)))]
-            rows, pos, neg = batches[chosen]
-            view = RankView(scores[rows], pos, neg, step, prune)
-            loss = losses[chosen] if per_group else _ap_loss_core(view)
+                view, loss = views[chosen].for_step(step, prune), losses[chosen]
+                del views  # the other groups' sorted copies go before the rule runs
+            else:
+                chosen = 0
+                view = RankView(scores, joint_pos, joint_neg, step, prune)
+                loss = _ap_loss_core(view)
+            rows = batches[chosen][0]
 
             t0 = time.perf_counter_ns()
             surrogate, grad, pruned = rule(view, cfg)

@@ -13,6 +13,7 @@ from ranklosslab import (
     grad_bruteforce,
     grad_reference,
 )
+from ranklosslab import gradients
 from helpers import random_batch_arrays
 
 ALL_KINDS = [
@@ -78,6 +79,35 @@ class TestAcceleratedEquivalence:
             res = grad_accelerated(b, cfg, GradOptions(interpolated=True))
             np.testing.assert_allclose(res.loss, ref.loss, rtol=1e-9, atol=1e-15)
             np.testing.assert_allclose(res.grad, ref.grad, rtol=1e-9, atol=1e-15)
+
+
+def _hi_cases(rng):
+    """(hi, w, m): ascending band ends with runs of 3 and more, ends at 0
+    and at m, zero weights and m = 1."""
+    for b in range(400):
+        m = 1 if b % 5 == 0 else int(rng.integers(1, 60))
+        p = int(rng.integers(1, 30))
+        hi = np.sort(rng.integers(0, m + 1, p))
+        if b % 3 == 0:
+            hi[: min(p, 3)] = 0
+        if b % 3 == 1:
+            hi[-min(p, 4):] = m
+        if b % 4 == 0:
+            hi[p // 3 : p // 3 + 3] = hi[p // 3]
+        w = rng.random(p) * 10.0 ** rng.integers(-3, 4, p)
+        if b % 2 == 0:
+            w[rng.random(p) < 0.4] = 0.0
+        yield hi, w, m
+
+
+class TestAboveBand:
+    def test_is_the_m_length_prefix_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        for hi, w, m in _hi_cases(rng):
+            want = np.bincount(hi, weights=w, minlength=m + 1).cumsum()[hi[0] : -1]
+            got = gradients._above_band(hi, w, m)
+            assert got.shape == (m - hi[0],)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSortedBand:

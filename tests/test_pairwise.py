@@ -105,6 +105,31 @@ class TestSortedOrder:
             # The same bits as s[order], signbits of zeros included.
             np.testing.assert_array_equal(s_sorted.view(np.int64), s[order].view(np.int64))
 
+    @pytest.mark.parametrize(
+        "kind", ["normal", "quarter_ticks", "signed_zeros", "extremes", "subnormals", "near_1e6"]
+    )
+    @pytest.mark.parametrize("ascending", [True, False], ids=["ascending", "shuffled"])
+    def test_sample_indices_under_a_cut(self, kind, ascending):
+        # The keys carry indices into a longer score array, in ascending
+        # order or not, and a mask drops some of them after the keys are
+        # built: the order is the kept indices in the stable order of their
+        # scores, ties by their place in ``index``.
+        rng = np.random.default_rng(37)
+        for m in SIZES:
+            scores = _draw(kind, rng, 2 * m + 3)
+            index = np.sort(rng.choice(scores.shape[0], m, replace=False))
+            if not ascending:
+                rng.shuffle(index)
+            values = scores[index]
+            for keep in (None, rng.random(m) < 0.7, np.zeros(m, dtype=bool)):
+                kept = index if keep is None else index[keep]
+                expected = kept[np.argsort(scores[kept], kind="stable")]
+                order, s_sorted = _sorted_order(scores, index, values, keep)
+                np.testing.assert_array_equal(order, expected)
+                np.testing.assert_array_equal(
+                    s_sorted.view(np.int64), scores[expected].view(np.int64)
+                )
+
     @staticmethod
     def _fallbacks(monkeypatch, s: np.ndarray) -> int:
         argsort, calls = np.argsort, []
@@ -134,3 +159,73 @@ class TestSortedOrder:
         s[::7] = s[3]
         s[1::10], s[2::10] = 0.0, -0.0
         assert self._fallbacks(monkeypatch, s) == 0
+
+    def test_ties_under_an_index_that_does_not_ascend_fall_back(self, monkeypatch):
+        # The keys put tied scores in index order, which is not their order
+        # in a shuffled ``index``; only distinct scores keep the one sort.
+        rng = np.random.default_rng(41)
+        argsort, calls = np.argsort, []
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        index = rng.permutation(300)
+        for scores, fallbacks in ((rng.standard_normal(300), 0), (rng.integers(0, 9, 300) / 2, 1)):
+            order, _ = _sorted_order(scores, index, scores[index])
+            assert len(calls) == fallbacks
+            np.testing.assert_array_equal(order, index[argsort(scores[index], kind="stable")])
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.int64) if x.dtype == np.float64 else x
+
+
+def _view_cases(rng):
+    """Batches for the rank view's order: ties, ignored labels, signed
+    zeros, scores within a few ulps of 1e6 and negatives in no order."""
+    for b in range(300):
+        scores, labels = random_batch_arrays(rng, max_n=80, max_pos=8)
+        if b % 4 == 1:
+            scores = _draw("signed_zeros", rng, scores.shape[0])
+        elif b % 4 == 2:
+            scores = _draw("near_1e6", rng, scores.shape[0])
+        pos, neg = partition(SampleBatch(scores, labels))
+        if b % 3 == 2:
+            neg = rng.permutation(neg)
+        yield scores, pos, neg
+
+
+class TestRankViewOrder:
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize(
+        "step", [StepConfig.heaviside(), StepConfig.piecewise(0.25)], ids=lambda c: c.kind
+    )
+    def test_is_the_stable_argsort_of_the_kept_negatives(self, step, prune):
+        rng = np.random.default_rng(43)
+        for scores, pos, neg in _view_cases(rng):
+            view = RankView(scores, pos, neg, step, prune)
+            kept = neg
+            if prune and pos.size:
+                diff = scores[neg] - scores[pos].min()
+                kept = neg[diff > -step.delta if step.kind == "piecewise" else diff >= 0.0]
+            expected = kept[np.argsort(scores[kept], kind="stable")]
+            np.testing.assert_array_equal(view.neg_index, expected)
+            np.testing.assert_array_equal(_bits(view.neg_sorted), _bits(scores[expected]))
+            assert view.below == neg.shape[0] - kept.shape[0]
+
+    def test_a_counting_view_for_a_step_is_the_view_built_for_it(self):
+        # ``for_step`` gives the fields a view built for the step holds, bit
+        # for bit, and sorts no class whose sort the counting view holds.
+        rng = np.random.default_rng(47)
+        steps = (None, StepConfig.sigmoid(0.5), StepConfig.heaviside(), StepConfig.piecewise(0.5))
+        for b, (scores, pos, neg) in enumerate(_view_cases(rng)):
+            step, prune = steps[b % 4], b % 8 < 4
+            counting = RankView(scores, pos, neg)
+            built, direct = counting.for_step(step, prune), RankView(scores, pos, neg, step, prune)
+            assert built.step == step
+            if step is None or step.kind == "sigmoid":
+                assert built.neg_sorted is counting.neg_sorted
+            for name in RankView.__slots__:
+                got, want = getattr(built, name), getattr(direct, name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(_bits(got), _bits(want))
+                else:
+                    assert got == want

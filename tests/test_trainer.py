@@ -29,7 +29,7 @@ from ranklosslab import (
 )
 from ranklosslab.experiments import GD_FAILURE_INIT, gd_failure_dataset
 from ranklosslab import trainer as trainer_module
-from ranklosslab import _pairwise
+from ranklosslab import _pairwise, gradients
 from ranklosslab._pairwise import RankView
 from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
 from helpers import random_batch_arrays, trace_digest
@@ -674,7 +674,7 @@ class TestUpdateRules:
         calls = []
         sorted_order = _pairwise._sorted_order
         monkeypatch.setattr(
-            _pairwise, "_sorted_order", lambda s: calls.append(1) or sorted_order(s)
+            _pairwise, "_sorted_order", lambda *args: calls.append(1) or sorted_order(*args)
         )
         data = generate(
             SynthConfig(dim=4, positives=9, negatives=30, groups=3, margin=-0.5, seed=2)
@@ -686,16 +686,57 @@ class TestUpdateRules:
         assert trace.iterations == 12
         assert len(calls) == sorts * 12
 
+    @pytest.mark.parametrize("scope", ["joint", "per_group"])
+    @pytest.mark.parametrize(
+        "kind, step, bounded",
+        [
+            ("error_driven_ap", StepConfig.piecewise(1.0), True),
+            ("inseparable_ap", StepConfig.piecewise(1.0), True),
+            ("error_driven_ap", StepConfig.sigmoid(0.5), False),
+            ("auc", StepConfig.sigmoid(0.5), False),
+            ("smoothed_ap_gd", StepConfig.heaviside(), False),
+        ],
+        ids=["ed_ramp", "inseparable", "ed_sigmoid", "auc_sigmoid", "smoothed"],
+    )
+    def test_each_groups_negatives_are_sorted_once_per_iteration(
+        self, monkeypatch, kind, step, bounded, scope
+    ):
+        # Every view sorts its negatives once.  A joint run builds one view
+        # per iteration.  A per-group run builds every group's counting view,
+        # and for the chosen group a second view, which sorts the kept
+        # negatives again, only when the step is bounded: the sigmoid and
+        # the smoothed rule read the counting view's sorted negatives.  One
+        # more view gives the final loss.
+        views = []
+        init = RankView.__init__
+        monkeypatch.setattr(RankView, "__init__", lambda v, *a: views.append(1) or init(v, *a))
+        groups = 3
+        data = generate(
+            SynthConfig(dim=4, positives=9, negatives=30, groups=groups, margin=-0.5, seed=2)
+        )
+        cfg = TrainConfig(
+            loss_kind=kind, step_cfg=step, update_scope=scope, max_iters=12, stop_at_zero_loss=False
+        )
+        _, trace = train(LinearModel(np.zeros(4)), data, cfg)
+        assert trace.iterations == 12
+        per_iteration = 1 if scope == "joint" else groups + bounded
+        assert len(views) == per_iteration * 12 + 1
+
 
 # Whole training traces pinned by sha256 (every column, the weight
 # snapshots and the scalars; see ``helpers.trace_digest``).  Every loss
 # kind, the three step kinds, both update scopes, interpolation and
-# pruning on and off; all but one run start from seeded random weights,
-# and that one from zero weights, where every score ties.
+# pruning on and off; all but two runs start from seeded random weights,
+# and those two from zero weights, where every score ties.  The ``_WIDE``
+# runs have bands of more than ``_GROUP_PAIRS`` pairs, so an iteration's
+# positives split into several row groups; their digests change with the
+# bound (2^12 and 2^14 give others) and the all-tied first iteration is
+# one band alone.  Each digest is the same at one BLAS thread and at two.
 _SEPARABLE = SynthConfig(
     dim=6, positives=12, negatives=240, groups=3, margin=0.2, seed=4, score_shift=1.0
 )
 _OVERLAP = SynthConfig(dim=6, positives=12, negatives=240, groups=3, margin=-0.5, seed=5)
+_WIDE = SynthConfig(dim=6, positives=40, negatives=1000, margin=0.2, seed=6)
 _H, _SIG = StepConfig.heaviside(), StepConfig.sigmoid(0.5)
 _RAMP, _HALF = StepConfig.piecewise(1.0), StepConfig.piecewise(0.5)
 PINNED_TRACES = {
@@ -706,6 +747,14 @@ PINNED_TRACES = {
     "ed_ramp_interpolated_unpruned": (
         _SEPARABLE, True, dict(step_cfg=_RAMP, grad_opts=GradOptions(True, False, False)),
         "941ea7c51d8b88d0ca1844318dee256cabd1f1d41f313f45d272271120b81687",
+    ),
+    "ed_ramp_many_row_groups": (
+        _WIDE, True, dict(step_cfg=_RAMP, stop_at_zero_loss=False, max_iters=30),
+        "dd9745b15146dabd362f4589b404c5e0a6f6cda90d8a1a4235b38d4d5b501dbb",
+    ),
+    "ed_ramp_many_row_groups_all_tied": (
+        _WIDE, False, dict(step_cfg=_RAMP, stop_at_zero_loss=False, max_iters=30),
+        "41abf76801af039262c4582fe70f322ffa22099005f0668a50fa9f6869f5daa2",
     ),
     "ed_ramp_per_group": (
         _OVERLAP, True,
@@ -760,8 +809,7 @@ PINNED_TRACES = {
 }
 
 
-@pytest.mark.parametrize("name", PINNED_TRACES)
-def test_training_traces_keep_their_pinned_bytes(name):
+def _pinned_run(name):
     synth, random_start, kwargs, digest = PINNED_TRACES[name]
     data = generate(synth)
     theta = (
@@ -770,4 +818,38 @@ def test_training_traces_keep_their_pinned_bytes(name):
         else np.zeros(synth.dim)
     )
     _, trace = train(LinearModel(theta), data, TrainConfig(record_weights=True, **kwargs))
+    return trace, digest
+
+
+@pytest.mark.parametrize("name", PINNED_TRACES)
+def test_training_traces_keep_their_pinned_bytes(name):
+    trace, digest = _pinned_run(name)
     assert trace_digest(trace) == digest
+
+
+@pytest.mark.parametrize("name", ["ed_ramp_many_row_groups", "ed_ramp_many_row_groups_all_tied"])
+def test_wide_band_traces_fill_several_row_groups(monkeypatch, name):
+    # What the two ``_WIDE`` digests pin: some iteration's negatives' bands
+    # hold more than ``_GROUP_PAIRS`` pairs together and go in several row
+    # groups, and from zero weights the first iteration is one band alone.
+    calls, negatives = [], []
+    band_groups, band_core = gradients._band_groups, gradients._sorted_band_core
+
+    def groups_spy(t, s, lo, hi, cfg):
+        groups = list(band_groups(t, s, lo, hi, cfg))
+        if t is negatives[-1]:
+            calls.append((int((hi - lo).sum()), [g[4] is None for g in groups]))
+        yield from groups
+
+    def core_spy(s_pos, t, *args):
+        negatives.append(t)
+        return band_core(s_pos, t, *args)
+
+    monkeypatch.setattr(gradients, "_band_groups", groups_spy)
+    monkeypatch.setattr(gradients, "_sorted_band_core", core_spy)
+    _pinned_run(name)
+    assert len(calls) == 30
+    assert max(pairs for pairs, _ in calls) > gradients._GROUP_PAIRS
+    assert any(len(alone) > 1 and not all(alone) for _, alone in calls)
+    if name.endswith("all_tied"):
+        assert calls[0][1] == [True]
