@@ -22,21 +22,19 @@ equality, and an overflow to +-inf keeps its sign too.  So the counts
 dense row and column sums of ``step_value(diffs(...), HEAVISIDE)``
 exactly, and every quotient or sum built from them keeps its bits.
 
-One ``RankView`` holds each class of a batch sorted once, built for the
-step of the kernel that reads it, which takes the step from the view: the
-exact loss and the hard denominators count from any view, the band kernel
-of a bounded step reads both classes' orders, the sigmoid kernel the
-positives' order, and a bounded step's trivial negatives, those below its
-cut, are only counted, never sorted.  A view with no step only counts,
-and a counting view is built for a step by ``RankView.for_step``, which
-sorts no class again that the step's view would sort the same way.
-Every order it holds comes from one sort of packed int64 keys, the score's
-order-preserving bits with an index in the low bits, which gives the
-stable order and the sorted scores at once (``_sorted_order``).  The
-negatives' keys hold their sample indices and are compressed by the cut
-mask, so the kernel scatters through the order itself.  Tied scores are
-interchangeable in every one of these, so any sort order of them gives
-the same bits.
+One ``RankView`` holds a batch's scores with its negatives sorted once,
+built for the step of the kernel that reads it, which takes the step from
+the view.  Any view counts the exact loss and the hard denominators
+(``rank_counts``, which sorts the few positives itself).  A bounded step's
+view also holds its kept negatives' order for the band kernel; its
+trivial negatives, those below its cut, are only counted, never sorted.
+Each kernel orders the positives it walks.  Every order comes from one
+sort of packed int64 keys, the score's order-preserving bits with an
+index in the low bits, which gives the stable order and the sorted scores
+at once (``_sorted_order``).  The negatives' keys hold their sample
+indices and are compressed by the cut mask, so the kernel scatters
+through the order itself.  Tied scores are interchangeable in every one
+of these, so any sort order of them gives the same bits.
 
 The sigmoid has no bounded support, so its rows are built whole, by
 ``sigmoid_rows`` alone, for the smoothed baseline and the sigmoid
@@ -49,7 +47,6 @@ each pair takes one bounded ``exp`` of its own difference instead.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Iterator
 
 import numpy as np
@@ -175,36 +172,32 @@ def _sorted_order(
     return order, s_sorted
 
 
-class RankView:
-    """A batch's scores with each class sorted once, for the kernel of ``step``.
+def bounded(step: StepConfig | None) -> bool:
+    """Whether ``step``'s view cuts the trivial negatives and orders the rest."""
+    return step is not None and step.kind != SIGMOID_KIND
 
-    With no ``step`` the view only counts: both classes are sorted by
-    ``np.sort`` and it holds no order.  For a bounded step (Heaviside or
-    ramp) with ``prune`` on, negatives below the step's cut are trivial:
-    their activation against every positive is exactly zero, so they are
-    only counted (``below``), never sorted.  With s_min the lowest positive
-    score, that is s_j - s_min <= -delta for the ramp and s_j - s_min < 0
-    for the hard step (an exact tie still activates).  The cut compares the
-    pairwise difference against the lowest positive, the same float the
-    step function sees, so pruning never disagrees with an unpruned
-    evaluation by even a rounding error.  A bounded step's view holds both
-    orders; a sigmoid view, whose step never vanishes, prunes nothing and
-    holds the positives' order alone.
-    ``neg_sorted`` holds the kept negatives' scores ascending, and
-    ``neg_index`` their sample indices (into ``scores``) in that order,
-    ties in ``neg`` order; ``pos_scores`` holds the positives' scores in
-    ``pos`` order, ``pos_sorted`` ascending and ``pos_order`` their
-    positions in ``pos`` in stable ascending order.  Every order comes with
-    its sorted scores from ``_sorted_order``'s one packed-key sort, and the
-    negatives' keys carry their sample indices, so the cut only compresses
-    the keys and the kernel scatters through ``neg_index`` directly.  A
-    counting view is built for a step by ``for_step``.
+
+class RankView:
+    """A batch's scores with its negatives sorted once, for the kernel of ``step``.
+
+    ``pos_scores`` holds the positives' scores in ``pos`` order and
+    ``neg_sorted`` the kept negatives' scores ascending.  With no step or
+    the sigmoid, whose step never vanishes, every negative is kept, sorted
+    by ``np.sort``.  For a bounded step (Heaviside or ramp) with ``prune``
+    on, negatives below the step's cut are trivial: their activation
+    against every positive is exactly zero, so they are only counted
+    (``below``), never sorted.  With s_min the lowest positive score, that
+    is s_j - s_min <= -delta for the ramp and s_j - s_min < 0 for the hard
+    step (an exact tie still activates).  The cut compares the pairwise
+    difference against the lowest positive, the same float the step
+    function sees, so pruning never disagrees with an unpruned evaluation
+    by even a rounding error.  Only a bounded step's view holds an order,
+    ``neg_index``: the kept negatives' sample indices in ascending score
+    order, ties in ``neg`` order, from one packed-key sort
+    (``_sorted_order``) whose keys the cut only compresses.
     """
 
-    __slots__ = (
-        "scores", "pos", "neg", "step", "below",
-        "pos_scores", "pos_sorted", "neg_sorted", "pos_order", "neg_index",
-    )
+    __slots__ = ("scores", "pos", "neg", "step", "below", "pos_scores", "neg_sorted", "neg_index")
 
     def __init__(
         self,
@@ -217,39 +210,17 @@ class RankView:
         self.scores, self.pos, self.neg, self.step = scores, pos, neg, step
         self.pos_scores = s_pos = scores[pos]
         # Index arrays make fresh copies, so sorting them in place is safe.
-        s_neg, keep = scores[neg], None
-        bounded = step is not None and step.kind != SIGMOID_KIND
-        if bounded and prune and s_pos.shape[0]:
+        s_neg, keep, self.neg_index = scores[neg], None, None
+        if bounded(step) and prune and s_pos.shape[0]:
             with np.errstate(over="ignore"):  # an overflow to -inf keeps its sign
                 diff = s_neg - s_pos.min()
             keep = diff > -step.delta if step.kind == PIECEWISE_KIND else diff >= 0.0
-        self.pos_order = self.neg_index = None
-        if step is None:
-            self.pos_sorted = np.sort(s_pos)
-        else:
-            self.pos_order, self.pos_sorted = _sorted_order(s_pos)
-        if bounded:
+        if bounded(step):
             self.neg_index, self.neg_sorted = _sorted_order(scores, neg, s_neg, keep)
         else:
             s_neg.sort()
             self.neg_sorted = s_neg
         self.below = neg.shape[0] - self.neg_sorted.shape[0]
-
-    def for_step(self, step: StepConfig | None, prune: bool = True) -> RankView:
-        """The view ``RankView(scores, pos, neg, step, prune)`` of this
-        counting view's batch, sorting no class again whose sort this view
-        already holds: this view itself for no step; for the sigmoid, which
-        prunes nothing and sorts its negatives as this view did, a copy
-        with the positives' order added; for a bounded step, a view built
-        anew."""
-        if step is None:
-            return self
-        if step.kind != SIGMOID_KIND:
-            return RankView(self.scores, self.pos, self.neg, step, prune)
-        view = copy.copy(self)
-        view.step = step
-        view.pos_order, view.pos_sorted = _sorted_order(self.pos_scores)
-        return view
 
 
 def rank_counts(view: RankView) -> tuple[np.ndarray, np.ndarray]:
@@ -261,5 +232,5 @@ def rank_counts(view: RankView) -> tuple[np.ndarray, np.ndarray]:
     """
     s_pos = view.pos_scores
     num = view.neg_sorted.shape[0] - view.neg_sorted.searchsorted(s_pos, side="left")
-    denom = num + (view.pos.shape[0] - view.pos_sorted.searchsorted(s_pos, side="left"))
+    denom = num + (s_pos.shape[0] - np.sort(s_pos).searchsorted(s_pos, side="left"))
     return num.astype(np.float64), denom.astype(np.float64)

@@ -264,7 +264,11 @@ def run_gradcheck(
     off must match the brute-force double loop, and with interpolation on
     must match the dense reference, within ``rtol`` relative error.
     """
-    _at_least_one(batches=batches)
+    _at_least_one(batches=batches, max_pos=max_pos)
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if not 0.0 <= rtol < np.inf:
+        raise ValueError(f"rtol must be finite and not negative, got {rtol}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     configs = [
         StepConfig.heaviside(),

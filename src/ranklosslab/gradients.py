@@ -13,8 +13,9 @@ gradient.  Three routes compute it:
 * ``grad_accelerated`` -- the production path, which optionally drops
   trivial negatives (those scoring so far below every positive that their
   activation is exactly zero).  It reads the batch's rank view
-  (``_pairwise.RankView``), built for its step, whose classes are sorted
-  once for the exact loss and the update alike; the kernel takes the step
+  (``_pairwise.RankView``), built for its step, whose negatives are sorted
+  once for the exact loss and the update alike, and orders the positives
+  it walks itself, one packed-key sort per call; the kernel takes the step
   and the pruning from the view.  For the hard step and the ramp the view
   only counts the trivial negatives and sorts the rest; against each
   positive, the terms outside the step's transition band are exactly 0
@@ -350,18 +351,19 @@ def _accelerated_core(
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return GradResult(0.0, grad, 0, np.ones(p))
+    order, s_pos = _pairwise._sorted_order(view.pos_scores)
     if denom is not None:
-        denom = denom[view.pos_order]
+        denom = denom[order]
     if cfg.kind == SIGMOID_KIND:
         loss, contrib, grad[neg], precs = _sigmoid_core(
-            view.pos_sorted, view.scores[neg], cfg.k, opts.interpolated, denom
+            s_pos, view.scores[neg], cfg.k, opts.interpolated, denom
         )
     else:
         loss, contrib, neg_grad, precs = _sorted_band_core(
-            view.pos_sorted, view.neg_sorted, cfg, opts.interpolated, denom
+            s_pos, view.neg_sorted, cfg, opts.interpolated, denom
         )
         grad[view.neg_index] = neg_grad
-    grad[pos[view.pos_order]] -= contrib
+    grad[pos[order]] -= contrib
     loss /= p
     if opts.normalize_by_positives:
         grad /= p

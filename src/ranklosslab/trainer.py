@@ -250,24 +250,24 @@ def train(
     Each iteration evaluates the update batch (whole dataset, or one
     erring group in ``per_group`` scope) at the current weights, records a
     trace row, and then applies the weight update.  The update batch's
-    classes are sorted once per iteration into a rank view built for the
+    negatives are sorted once per iteration into a rank view built for the
     rule's step, which the rule reads: the trivial negatives of every rule
     that runs the accelerated kernel (all but the smoothed one) are only
-    counted, and the orders the kernel reads come from one packed-key sort
-    per class.  A joint batch's exact loss reads the same view; in
+    counted, and each class whose order the kernel reads takes one
+    packed-key sort.  A joint batch's exact loss reads the same view; in
     ``per_group`` scope every group's loss comes from a counting view,
-    and the chosen group's counting view is then built for the step
-    (``RankView.for_step``), so only a bounded step sorts that group's
-    negatives a second time, its kept ones.  The views are dropped before
-    the weights move, so no sorted copy outlives its iteration.  Group
-    id -1 marks the whole dataset in the trace, so ``per_group`` scope
-    refuses a dataset that uses it.
+    which for an unbounded step is that step's view, so only a bounded
+    step builds the chosen group's view anew from the counting view's
+    scores, sorting its kept negatives a second time.  The views are
+    dropped before the weights move, so no sorted copy outlives its
+    iteration.  Group id -1 marks the whole dataset in the trace, so
+    ``per_group`` scope refuses a dataset that uses it.
     Non-convergence is a recorded outcome, not an error; scores that
     overflow to inf or NaN raise ``ValueError`` naming the iteration.
     ``timing`` fills the trace's wall_ns column with measured times of the
-    update rule (building the update batch's view, ordering sorts
-    included, is outside them); otherwise the column is zero so traces
-    stay byte-reproducible.
+    update rule, which include the kernel's sort of the positives;
+    building the update batch's view, with its negatives' sort, is outside
+    them.  Otherwise the column is zero so traces stay byte-reproducible.
     """
     if model.dim != data.dim:
         raise ValueError(f"model dim {model.dim} does not match feature dim {data.dim}")
@@ -293,30 +293,30 @@ def train(
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
-    # The smoothed rule runs no kernel, so its view only counts.
+    # The smoothed rule runs no kernel, so its view only counts.  For a
+    # bounded step, per-group views only count until a group is chosen.
     step = None if cfg.loss_kind == "smoothed_ap_gd" else cfg.step_cfg
     prune = cfg.grad_opts.prune_trivial_negatives
+    batch_step = None if per_group and _pairwise.bounded(step) else step
 
     # A diverging run overflows; the finiteness checks, not numpy's warnings, report it.
     with np.errstate(over="ignore"):
         for it in range(1, cfg.max_iters + 1):
             scores = _finite_scores(features, theta, it, cfg.loss_kind)
+            views = [RankView(scores[r], p, n, batch_step, prune) for r, p, n in batches]
+            losses = [_ap_loss_core(v) for v in views]
+            chosen = 0
             if per_group:
-                # Counting views choose the group, and the chosen one is built for the step.
-                views = [RankView(scores[r], p, n) for r, p, n in batches]
-                losses = [_ap_loss_core(v) for v in views]
                 erring = [k for k, v in enumerate(losses) if v > 0.0]
                 if not erring:
                     if cfg.stop_at_zero_loss:
                         break
                     erring = list(range(len(gids)))
                 chosen = erring[int(rng.integers(len(erring)))]
-                view, loss = views[chosen].for_step(step, prune), losses[chosen]
-                del views  # the other groups' sorted copies go before the rule runs
-            else:
-                chosen = 0
-                view = RankView(scores, joint_pos, joint_neg, step, prune)
-                loss = _ap_loss_core(view)
+            view, loss = views[chosen], losses[chosen]
+            if view.step is not step:  # the chosen group's view for a bounded step
+                view = RankView(view.scores, view.pos, view.neg, step, prune)
+            del views  # the other groups' sorted copies go before the rule runs
             rows = batches[chosen][0]
 
             t0 = time.perf_counter_ns()
@@ -407,6 +407,8 @@ def verify_regret_bound(
     a trace recorded with weight snapshots, with the ramp half-width
     ``delta`` and the step size delta / R^2 the bound's derivation assumes.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and not negative, got {tol}")
     if trace.loss_kind != "inseparable_ap":
         raise ValueError("bound verification requires an inseparable_ap training trace")
     if trace.thetas is None or len(trace.thetas) != trace.iterations:

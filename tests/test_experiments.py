@@ -178,6 +178,35 @@ class TestGradcheck:
         assert report.worst_rel_error == np.inf
 
 
+    @pytest.mark.parametrize("rtol", [np.nan, np.inf, -1e-9], ids=["nan", "inf", "negative"])
+    def test_a_tolerance_that_cannot_fail_is_refused(self, monkeypatch, rtol):
+        # Every accelerated gradient off by 1 passes any NaN or infinite
+        # rtol: no error compares above either.
+        accelerated = experiments.grad_accelerated
+
+        def shifted(*args, **kwargs):
+            res = accelerated(*args, **kwargs)
+            res.grad[...] += 1.0
+            return res
+
+        monkeypatch.setattr(experiments, "grad_accelerated", shifted)
+        assert not run_gradcheck(batches=5).passed
+        with pytest.raises(ValueError, match="^rtol must be finite and not negative"):
+            run_gradcheck(batches=5, rtol=rtol)
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            (dict(max_n=1), "max_n must be at least 2"),
+            (dict(max_pos=0), "max_pos must be at least 1"),
+        ],
+        ids=["max_n", "max_pos"],
+    )
+    def test_sizes_it_cannot_draw_are_named(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{message}, got"):
+            run_gradcheck(batches=1, **sizes)
+
+
 class TestCounterexample:
     def test_traces_and_files(self, tmp_path):
         traces = run_counterexample(out_dir=tmp_path, gd_iters=2000)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from ranklosslab import SampleBatch, StepConfig, auc_grad, partition, step_value
+from ranklosslab import (
+    SampleBatch,
+    StepConfig,
+    auc_grad,
+    exact_metrics,
+    grad_accelerated,
+    partition,
+    step_value,
+)
+from ranklosslab import _pairwise
 from ranklosslab._pairwise import (
     RankView,
     _sorted_order,
@@ -210,22 +219,48 @@ class TestRankViewOrder:
             np.testing.assert_array_equal(_bits(view.neg_sorted), _bits(scores[expected]))
             assert view.below == neg.shape[0] - kept.shape[0]
 
-    def test_a_counting_view_for_a_step_is_the_view_built_for_it(self):
-        # ``for_step`` gives the fields a view built for the step holds, bit
-        # for bit, and sorts no class whose sort the counting view holds.
+    def test_a_sigmoid_view_is_the_counting_view(self):
+        # Neither holds an order, and the sigmoid prunes nothing whatever
+        # ``prune`` says: the views differ in ``step`` alone, bit for bit.
         rng = np.random.default_rng(47)
-        steps = (None, StepConfig.sigmoid(0.5), StepConfig.heaviside(), StepConfig.piecewise(0.5))
+        step = StepConfig.sigmoid(0.5)
         for b, (scores, pos, neg) in enumerate(_view_cases(rng)):
-            step, prune = steps[b % 4], b % 8 < 4
             counting = RankView(scores, pos, neg)
-            built, direct = counting.for_step(step, prune), RankView(scores, pos, neg, step, prune)
-            assert built.step == step
-            if step is None or step.kind == "sigmoid":
-                assert built.neg_sorted is counting.neg_sorted
-            for name in RankView.__slots__:
-                got, want = getattr(built, name), getattr(direct, name)
+            view = RankView(scores, pos, neg, step, b % 2 == 0)
+            assert (counting.step, view.step) == (None, step)
+            assert view.neg_index is None and view.below == 0
+            for name in set(RankView.__slots__) - {"step"}:
+                got, want = getattr(view, name), getattr(counting, name)
                 if isinstance(want, np.ndarray):
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(_bits(got), _bits(want))
                 else:
                     assert got == want
+
+    @pytest.mark.parametrize(
+        "call, sorts",
+        [
+            (lambda b: grad_accelerated(b, StepConfig.heaviside()), 2),
+            (lambda b: grad_accelerated(b, StepConfig.piecewise(0.5)), 2),
+            (lambda b: auc_grad(b, StepConfig.piecewise(0.5)), 2),
+            (exact_metrics, 2),
+            (lambda b: grad_accelerated(b, StepConfig.sigmoid(0.5)), 1),
+            (lambda b: auc_grad(b, StepConfig.sigmoid(0.5)), 1),
+        ],
+        ids=["ed_heaviside", "ed_ramp", "auc_ramp", "exact_metrics", "ed_sigmoid", "auc_sigmoid"],
+    )
+    def test_each_call_orders_each_class_its_kernel_walks_once(self, monkeypatch, call, sorts):
+        # One packed-key sort per class whose order the kernel reads: the
+        # kept negatives for a bounded step, in its view, and the positives,
+        # in the kernel.  The counts sort the positives with ``np.sort``.
+        calls = []
+        sorted_order = _pairwise._sorted_order
+        monkeypatch.setattr(
+            _pairwise, "_sorted_order", lambda *args: calls.append(1) or sorted_order(*args)
+        )
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            scores, labels = random_batch_arrays(rng, max_n=60, max_pos=8)
+            call(SampleBatch(scores, labels))
+            assert len(calls) == sorts
+            calls.clear()

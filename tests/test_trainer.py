@@ -406,6 +406,15 @@ class TestRegretBound:
                 assert report.offline_satisfied  # single update batch
                 assert report.Z_u is not None and report.Z_u >= 0.0
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9], ids=["nan", "inf", "negative"])
+    def test_a_tolerance_that_cannot_fail_is_refused(self, tol):
+        # With an infinite tol any trace satisfies both bounds.
+        data, trace = self._run(seed=3)
+        trace.ap_loss[:] = [1e300] * trace.iterations
+        assert not verify_regret_bound(trace, data, np.zeros(6), 1.0).satisfied
+        with pytest.raises(ValueError, match="^tol must be finite and not negative"):
+            verify_regret_bound(trace, data, np.zeros(6), 1.0, tol=tol)
+
     def test_step_size_mismatch_rejected(self):
         data, trace = self._run(seed=3)
         trace.step_size *= 2.0
