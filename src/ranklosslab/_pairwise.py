@@ -39,10 +39,13 @@ of these, so any sort order of them gives the same bits.
 The sigmoid has no bounded support, so its rows are built whole, by
 ``sigmoid_rows`` alone, for the smoothed baseline and the sigmoid
 error-driven gradient: from separable exponentials, exp((s_i - s_j)/k) =
-exp((s_i - c)/k) * exp(-(s_j - c)/k) with c the scores' mid-range, so the
-block costs P + n ``exp`` calls, a few rows at a time that stay in cache.
-Past a score span (max - min)/k of 700, where the product could overflow,
-each pair takes one bounded ``exp`` of its own difference instead.
+a_i * b_j with a_i = exp((s_i - c)/k), b_j = exp(-(s_j - c)/k) and c the
+scores' mid-range, so the block costs P + n ``exp`` calls, a few rows at a
+time in one buffer that stays in cache.  The factors come with the rows,
+so the smoothed baseline's derivative k * sigmoid' = a_i * sig^2 * b_j
+needs no block of its own.  Past a score span (max - min)/k of 350, where
+the squared rows could underflow, each pair takes one bounded ``exp`` of
+its own difference instead.
 """
 
 from __future__ import annotations
@@ -74,53 +77,53 @@ def rank_denominators(f: np.ndarray) -> np.ndarray:
     return 1.0 + f.sum(axis=1) - f.diagonal()
 
 
-# Largest (max - min)/k taken by the separable factors, whose largest
-# product is exp((max - min)/k): DBL_MAX is exp(709.78), and 700 leaves room
-# for the rounding of the centre and of the two exp factors.
-_SEPARABLE_SPAN = 700.0
+# Largest (max - min)/k taken by the separable factors.  Their largest
+# product is exp((max - min)/k), and DBL_MAX is exp(709.78); the bound is
+# half that so that a caller may square the rows: sig >= 1/(1 + e^350)
+# gives sig^2 >= e^-700, above DBL_MIN (e^-708.4), and a_i * sig^2 and
+# sig^2 * b_j stay at or above e^-525, so no slope underflows.
+_SEPARABLE_SPAN = 350.0
 
-# Block entries per chunk of sigmoid rows, so that the chunk's two buffers
-# stay in cache (two rows at n = 50,050).
+# Block entries per chunk of sigmoid rows, so that the chunk's buffer stays
+# in cache (two rows at n = 50,050).
 _SIGMOID_CHUNK = 1 << 17
 
 
 def sigmoid_rows(
     s: np.ndarray, p: int, k: float
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (i0, i1, sig, d) over the sigmoid block's rows, a chunk at a
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None, np.ndarray | None]]:
+    """Yield (i0, i1, sig, a, b) over the sigmoid block's rows, a chunk at a
     time: sig[r, j] = sigmoid((s_j - s_i)/k) for row i = i0 + r, one row
-    per score in ``s[:p]``, and d = k * sigmoid', both 0 on the row's own
-    column i.  Both are views into buffers that the next chunk reuses."""
+    per score in ``s[:p]``, 0 on the row's own column i.  ``sig`` is a view
+    into one buffer that the next chunk reuses, and the caller may
+    overwrite it.  Within the separable span a = exp((s_i - c)/k) over the
+    chunk's rows and b = exp(-(s_j - c)/k) over every column, so that
+    exp((s_i - s_j)/k) = a_i * b_j, sig = 1/(1 + a_i * b_j) and k *
+    sigmoid' = sig * (1 - sig) = a_i * sig^2 * b_j, with no 1 - sig
+    cancellation.  Past the span both are None."""
     n = s.shape[0]
     rows = min(p, max(1, _SIGMOID_CHUNK // n))
-    sig_buf, d_buf = np.empty((rows, n)), np.empty((rows, n))
+    buf = np.empty((rows, n))
     lo, hi = float(s.min()), float(s.max())
-    separable = (hi - lo) / k <= _SEPARABLE_SPAN
-    if separable:
-        # e_pos[i] = exp((s_i - c)/k) over the rows, e_neg[j] = exp(-(s_j - c)/k).
-        e_neg = (lo + 0.5 * (hi - lo) - s) / k
-        e_pos = np.exp(-e_neg[:p])
-        np.exp(e_neg, out=e_neg)
+    a = b = None
+    if (hi - lo) / k <= _SEPARABLE_SPAN:
+        # a[i] = exp((s_i - c)/k) over the rows, b[j] = exp(-(s_j - c)/k).
+        b = (lo + 0.5 * (hi - lo) - s) / k
+        a = np.exp(-b[:p])
+        np.exp(b, out=b)
     else:
         cfg = StepConfig.sigmoid(k)
     for i0 in range(0, p, rows):
         i1 = min(i0 + rows, p)
-        sig, d = sig_buf[: i1 - i0], d_buf[: i1 - i0]
-        if separable:
-            # t = exp((s_i - s_j)/k), sigmoid((s_j - s_i)/k) = 1/(1 + t), and
-            # k * sigmoid' = t * sig^2, with no 1 - sig cancellation; (t * sig)
-            # * sig stays normal where sig^2 would underflow.
-            np.multiply.outer(e_pos[i0:i1], e_neg, out=d)
-            np.divide(1.0, np.add(d, 1.0, out=sig), out=sig)
-            np.fill_diagonal(sig[:, i0:], 0.0)
-            d *= sig
+        sig = buf[: i1 - i0]
+        if b is not None:
+            np.multiply.outer(a[i0:i1], b, out=sig)
+            np.divide(1.0, np.add(sig, 1.0, out=sig), out=sig)
         else:
-            # One bounded exp per pair, and k * sigmoid' = sig * (1 - sig).
+            # One bounded exp per pair.
             sig[...] = step_value(np.subtract(s, s[i0:i1, None], out=sig), cfg)
-            np.fill_diagonal(sig[:, i0:], 0.0)
-            np.subtract(1.0, sig, out=d)
-        d *= sig
-        yield i0, i1, sig, d
+        np.fill_diagonal(sig[:, i0:], 0.0)
+        yield i0, i1, sig, None if a is None else a[i0:i1], b
 
 
 def _sorted_order(
@@ -223,14 +226,19 @@ class RankView:
         self.below = neg.shape[0] - self.neg_sorted.shape[0]
 
 
+def rank_numerators(view: RankView) -> np.ndarray:
+    """Per-positive num[i] = #{neg j: s_j >= s_i}, in ``pos`` order, as
+    float64.  Scores must be finite."""
+    t = view.neg_sorted
+    return np.subtract(t.shape[0], t.searchsorted(view.pos_scores, side="left"), dtype=np.float64)
+
+
 def rank_counts(view: RankView) -> tuple[np.ndarray, np.ndarray]:
     """Per-positive (num, denom) Heaviside counts, in ``pos`` order.
 
-    num[i] = #{neg j: s_j >= s_i}, and denom[i] = #{valid k: s_k >= s_i},
+    num is ``rank_numerators``, and denom[i] = #{valid k: s_k >= s_i},
     which is the rank denominator 1 + #{k != i: s_k >= s_i} because the
     row's own sample always counts.  Scores must be finite.
     """
-    s_pos = view.pos_scores
-    num = view.neg_sorted.shape[0] - view.neg_sorted.searchsorted(s_pos, side="left")
-    denom = num + (s_pos.shape[0] - np.sort(s_pos).searchsorted(s_pos, side="left"))
-    return num.astype(np.float64), denom.astype(np.float64)
+    s_pos, num = view.pos_scores, rank_numerators(view)
+    return num, num + (s_pos.shape[0] - np.sort(s_pos).searchsorted(s_pos, side="left"))

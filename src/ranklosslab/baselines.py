@@ -10,11 +10,14 @@ denominator 1 (``losses._auc_core``), so no step builds a P x n block.
 
 The smoothed baseline reduces its P x n sigmoid block a few rows at a
 time, as ``_pairwise.sigmoid_rows`` yields them: from separable
-exponentials, P + n ``exp`` calls and one outer product, within a score
-span (max - min)/k of 700, and one bounded ``exp`` per pair past it.  The
-block is never whole in memory.  The sigmoid's derivative and the quotient
-rule's sums come from the same rows, the column sums as two matrix-vector
-products per chunk added into one gradient.
+exponentials a_i * b_j, P + n ``exp`` calls and one outer product, within
+a score span (max - min)/k of 350, and one bounded ``exp`` per pair past
+it.  The block is never whole in memory, and its derivative is never
+built: k * sigmoid' = a_i * sig^2 * b_j, so each chunk squares its rows in
+place, takes the rows' sums of the derivative as one matrix-vector
+product with b, scaled by a_i, and adds the quotient rule's column sums
+without their factor b_j, which multiplies them once per call.  Past the
+span the derivative is sig * (1 - sig) per pair, with unit factors.
 """
 
 from __future__ import annotations
@@ -59,21 +62,32 @@ def _smoothed_core(
     cols = _pairwise.columns(pos, neg)
     # Only valid scores enter the block, so ignored samples change no bit
     # of the result.
-    num, denom = np.empty(p), np.empty(p)
+    num, denom, own = np.empty(p), np.empty(p), np.empty(p)
     g = np.zeros(cols.shape[0])
-    for i0, i1, sig, t in _pairwise.sigmoid_rows(scores[cols], p, cfg.k):
+    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(scores[cols], p, cfg.k):
         num[i0:i1] = sig[:, p:].sum(axis=1)
         denom[i0:i1] = 1.0 + num[i0:i1] + sig[:, :p].sum(axis=1)
 
+        # k * sigmoid' is a_i * sig^2 * b_j, 0 on the row's own column; past
+        # the separable span it is sig * (1 - sig), with unit factors.
+        if a is None:
+            sig *= 1.0 - sig
+            a, b = np.ones(i1 - i0), np.ones(cols.shape[0])
+        else:
+            sig *= sig
         # d(value)/d(s_m): the quotient rule splits into a per-column part (m
-        # is column j or k of row i) and a per-row part (m is the row's own
-        # positive, entering every difference with opposite sign).  t is
-        # k * sigmoid', 0 on the row's own column.
-        w_num = 1.0 / (p * denom[i0:i1])
-        w_den = num[i0:i1] / (p * denom[i0:i1] * denom[i0:i1])
-        g[:p] -= w_den @ t[:, :p]
-        g[p:] += (w_num - w_den) @ t[:, p:]
-        g[i0:i1] += w_den * t.sum(axis=1) - w_num * t[:, p:].sum(axis=1)
+        # is column j or k of row i), summed here without its factor b_j,
+        # and a per-row part (m is the row's own positive, entering every
+        # difference with opposite sign), from the rows' sums of the slopes.
+        # The weights 1/(p denom_i) and num_i/(p denom_i^2) carry a_i.
+        w_num = a / (p * denom[i0:i1])
+        w_den = w_num * (num[i0:i1] / denom[i0:i1])
+        w_neg = w_num - w_den
+        g[:p] -= w_den @ sig[:, :p]
+        g[p:] += w_neg @ sig[:, p:]
+        own[i0:i1] = w_den * (sig[:, :p] @ b[:p]) - w_neg * (sig[:, p:] @ b[p:])
+    g *= b
+    g[:p] += own
     g /= cfg.k
     value = float((num / denom).sum() / p)
     # Allocated only now, so it is not held while the block is evaluated.

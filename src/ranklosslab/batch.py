@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-VALID_LABELS = (-1, 0, 1)
-
 
 def _whole(name: str, values) -> np.ndarray:
     """``values`` as int64, refusing any that are not whole numbers, which
@@ -44,8 +42,9 @@ def _validated(name: str, values, ndim: int, labels, group_ids):
         )
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
-    if labels.size and not np.isin(labels, VALID_LABELS).all():
-        bad = np.unique(labels[~np.isin(labels, VALID_LABELS)])
+    valid = (labels >= -1) & (labels <= 1)
+    if not valid.all():
+        bad = np.unique(labels[~valid])
         raise ValueError(f"labels must be in {{-1, 0, 1}}, found {bad.tolist()}")
     if group_ids is None:
         group_ids = np.zeros(labels.shape[0], dtype=np.int64)

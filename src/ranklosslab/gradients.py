@@ -28,7 +28,8 @@ gradient.  Three routes compute it:
   repeat over the kept negatives.  The sigmoid, whose transition has
   no bounded width, reduces the rows of ``_pairwise.sigmoid_rows`` in
   ascending positive order, the negatives' gradient one matrix-vector
-  product per chunk of rows.
+  product per chunk of rows; it reads the rows alone, not their
+  separable factors.
 """
 
 from __future__ import annotations
@@ -332,7 +333,7 @@ def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
     contrib, precs = np.empty(p), np.empty(p)
     g = np.zeros(s_neg.shape[0])
     max_prec = 0.0
-    for i0, i1, sig, _ in _pairwise.sigmoid_rows(np.concatenate([s_pos, s_neg]), p, k):
+    for i0, i1, sig, _, _ in _pairwise.sigmoid_rows(np.concatenate([s_pos, s_neg]), p, k):
         num = sig[:, p:].sum(axis=1)
         d = 1.0 + num + sig[:, :p].sum(axis=1) if denom is None else denom[i0:i1]
         w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(num, d, interpolated, max_prec)

@@ -9,7 +9,8 @@ equal to a positive is treated as ranked above it, which makes both losses
 deterministic on tied inputs.
 
 Each value takes one route.  The hard-step AP and AUC losses are the
-counts of a counting rank view (``_pairwise.rank_counts``); the ramp and
+counts of a counting rank view (``_pairwise.rank_counts``, of which the
+AUC reads only the numerators, which sort no positives); the ramp and
 sigmoid AP losses are ``grad_accelerated``'s loss without pruning, and the
 ramp and sigmoid AUC losses are the AUC update's value on a view built for
 their step (``_auc_core``: the accelerated kernel with every rank
@@ -46,7 +47,7 @@ def _auc_loss_core(view: _pairwise.RankView) -> float:
     pos, neg = view.pos, view.neg
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         return 0.0
-    return float(_pairwise.rank_counts(view)[0].sum() / (pos.shape[0] * neg.shape[0]))
+    return float(_pairwise.rank_numerators(view).sum() / (pos.shape[0] * neg.shape[0]))
 
 
 def _auc_core(view: _pairwise.RankView) -> tuple[float, np.ndarray, int]:

@@ -96,6 +96,12 @@ def generate(cfg: SynthConfig) -> RankingDataset:
     features = np.empty((n, cfg.dim))
     label_arr = np.zeros(n, dtype=np.int64)
     gid_arr = np.empty(n, dtype=np.int64)
+    # The row patterns u and (margin/2) u, repeated over one block's rows
+    # (the largest group's, if smaller), so that every block update below
+    # runs over one contiguous run of the flattened rows.
+    rows = min(_ROWS, pos_counts[0] + neg_counts[0])
+    u_rows, half_rows = np.tile(u, rows), np.tile((cfg.margin / 2.0) * u, rows)
+    proj = np.empty(rows * cfg.dim)
     start = 0
     for g in range(cfg.groups):
         n_pos, stop = pos_counts[g], start + pos_counts[g] + neg_counts[g]
@@ -106,14 +112,19 @@ def generate(cfg: SynthConfig) -> RankingDataset:
         # row count under a threaded BLAS; the rest runs a few rows at a
         # time, in cache, with no (n_g, dim) temporary.
         along_u = group @ u if separable else None
+        shift_rows = np.tile((cfg.score_shift * g) * v, rows)
+        flat = group.reshape(-1)
         for r0 in range(0, stop - start, _ROWS):
-            block = group[r0 : r0 + _ROWS]
+            block = flat[r0 * cfg.dim : (r0 + _ROWS) * cfg.dim]
+            m = block.shape[0]
             if separable:
-                block -= np.outer(along_u[r0 : r0 + _ROWS], u)
-            k = max(n_pos - r0, 0)
-            block[:k] += (cfg.margin / 2.0) * u
-            block[k:] += (-cfg.margin / 2.0) * u
-            block += (cfg.score_shift * g) * v
+                np.multiply(np.repeat(along_u[r0 : r0 + _ROWS], cfg.dim), u_rows[:m], out=proj[:m])
+                block -= proj[:m]
+            # The negatives' x - (margin/2) u_d is x + (-margin/2) u_d exactly.
+            k = min(max(n_pos - r0, 0) * cfg.dim, m)
+            block[:k] += half_rows[:k]
+            block[k:] -= half_rows[k:m]
+            block += shift_rows[:m]
         label_arr[start : start + n_pos] = 1
         gid_arr[start:stop] = g
         start = stop

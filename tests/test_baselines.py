@@ -89,21 +89,29 @@ class TestSmoothedAp:
         # (max - min)/k = span, with positives and negatives at both ends, so
         # the separable block would hold exp(+-span); the last two spans
         # overflow it, and tier-1 turns the overflow warning into an error.
-        # At k = 0.5 the last span puts the scores at +-1e4.
+        # At k = 0.5 the last span puts the scores at +-1e4.  Inside the
+        # guard a second batch has one positive at the top and one negative
+        # at the bottom, whose whole gradient is one slope of about
+        # exp(-span); past it that slope would be subnormal or zero.
         # Each span also runs in chunks of one row and of two, the second
         # leaving a partial chunk of the three positives.
         cfg = SmoothedApConfig(k=0.5)
         half = span * cfg.k / 2
-        scores = np.array([half, -half, 0.3, half, -half, -0.2, 0.1])
-        labels = [1, 1, 1, 0, 0, 0, 0]
-        ref_loss, ref_grad = smoothed_ap_longdouble(SampleBatch(scores, labels), cfg)
-        for rows in (None, 1, 2):
-            with sigmoid_chunk_rows(rows, scores.shape[0]), per_pair_sigmoid() as per_pair:
-                loss, grad = smoothed_ap_loss_and_grad(SampleBatch(scores, labels), cfg)
-            assert per_pair.called != separable
-            assert np.isfinite(loss) and np.isfinite(grad).all()
-            np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0.0)
-            assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+        batches = [(np.array([half, -half, 0.3, half, -half, -0.2, 0.1]), [1, 1, 1, 0, 0, 0, 0])]
+        if separable:
+            batches.append((np.array([half, -half]), [1, 0]))
+        for scores, labels in batches:
+            ref_loss, ref_grad = smoothed_ap_longdouble(SampleBatch(scores, labels), cfg)
+            for rows in (None, 1, 2):
+                with sigmoid_chunk_rows(rows, scores.shape[0]), per_pair_sigmoid() as per_pair:
+                    loss, grad = smoothed_ap_loss_and_grad(SampleBatch(scores, labels), cfg)
+                assert per_pair.called != separable
+                assert np.isfinite(loss) and np.isfinite(grad).all()
+                np.testing.assert_allclose(loss, ref_loss, rtol=1e-12, atol=0.0)
+                assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+                # Inside the guard the squared sigmoid rows never underflow:
+                # every entry that is nonzero in long double is nonzero here.
+                assert not separable or (grad[ref_grad != 0] != 0).all()
 
 
 class TestAucGrad:

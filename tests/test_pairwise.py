@@ -264,3 +264,29 @@ class TestRankViewOrder:
             call(SampleBatch(scores, labels))
             assert len(calls) == sorts
             calls.clear()
+
+    def test_exact_metrics_sorts_its_positives_twice(self, monkeypatch):
+        # Once by ``np.sort`` for the AP's rank denominators and once by a
+        # packed-key sort for the interpolated AP's kernel; the AUC reads
+        # only the numerators, which sort no positives.
+        sorted_arrays = []
+        sort, sorted_order = np.sort, _pairwise._sorted_order
+
+        def counting_sort(a, *args, **kwargs):
+            sorted_arrays.append(np.array(a))
+            return sort(a, *args, **kwargs)
+
+        def counting_order(*args):
+            if len(args) == 1:
+                sorted_arrays.append(np.array(args[0]))
+            return sorted_order(*args)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        monkeypatch.setattr(_pairwise, "_sorted_order", counting_order)
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            scores, labels = random_batch_arrays(rng, max_n=60, max_pos=8)
+            exact_metrics(SampleBatch(scores, labels))
+            s_pos = scores[labels == 1]
+            assert sum(np.array_equal(a, s_pos) for a in sorted_arrays) == 2
+            sorted_arrays.clear()

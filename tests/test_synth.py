@@ -69,6 +69,55 @@ PINNED = {
         "2ea9ab9198d1638007400cd2c3bef1cc745b864b76011a0e1bc52180ac6452d4",
         "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
     ),
+    # Groups of several row blocks, with positives past the first block and
+    # row counts that are not a multiple of the block, as the generator drew
+    # them when it updated each block as a (rows, dim) broadcast.
+    "positives_past_a_block": (
+        SynthConfig(dim=20, positives=5000, negatives=3001, margin=0.1, seed=16),
+        "f45f633e65534a5b13ee71b47157f93be22a5a5db0af79d115db86d80c4656ca",
+        "deb66434285db7a48a9f13fe244b60a0850b48fe24f770e10020a018e7d7f46b",
+        "4c54a539222f3c905aac0301e071990b204ff0aa4114f41d01fbf93a75a50043",
+        "dd27d2560989e69ec217d76fd44b4d44c3f45d33eabb184bc8cff7ff8bab1610",
+    ),
+    "groups_shift_blocks": (
+        SynthConfig(
+            dim=5, positives=6201, negatives=4000, groups=2, margin=0.2, score_shift=1.5, seed=17
+        ),
+        "c7be1545c9d149286369df58947254411f92fb01d554f513aeb4c4a0337edcfc",
+        "bcdcda2202e2e98c76255c6194a8c3b0391dcac68a20107dcfae6087e68faabd",
+        "9efaf98dafe4ef0e1c5c7171f09bcfea4cd2f70803eee1bb600894e7ebfe8f1e",
+        "cde48668a8a4167b201ae10a33711f9726960d393756cbb2fe8ff85e3917f043",
+    ),
+    "margin_0_blocks": (
+        SynthConfig(dim=3, positives=2500, negatives=3000, margin=0.0, seed=18),
+        "69bbbd381af85768ff7582b7f347ccfc18c321297c37e8d4461c27eca35a5a56",
+        "eea362981ab93c9eea4dda88c682d5a19d6b82bd0408e5ca6c191a8d8a43d430",
+        "07d065e6f1896aa07e02829c662b0ac0a7fb3ecfd5688a35bac82b18457aa63e",
+        "4f338cd20b71d6fbfacdb30c2122c5cf7e67106c59433ede99f190845231c3ff",
+    ),
+    "negative_margin_blocks": (
+        SynthConfig(
+            dim=7,
+            positives=4500,
+            negatives=2500,
+            groups=2,
+            margin=-0.4,
+            noise_sigma=0.7,
+            score_shift=0.5,
+            seed=19,
+        ),
+        "4b4ae82194bdaf87c21af5a8d15362eea7e733bdfb236453267ebba5628040a0",
+        "34278f2e8b8dce56d2d692f0ae0a4d3f8109c184859540abfec25624a2e6cec4",
+        "41aa6446a33a636f5202dcb45eae67acf26e7b37ac875e7913ed99878cb44415",
+        None,
+    ),
+    "dim_1_blocks": (
+        SynthConfig(dim=1, positives=3000, negatives=2001, margin=0.2, seed=20),
+        "08e3c057b1b1710a913949f164dc603d7fcce73fcd38e4ed724bf4b594933601",
+        "c5b3d0f10a8e13769d5e2afd5c37692afe75b38a1e9993ddbcbae8ebab7b83dc",
+        "d5c722c25786a85f0b9dd9de2eb4269d40a77365bb4f4f8d82bbf60bbe1b8dd7",
+        "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    ),
 }
 
 

@@ -784,12 +784,12 @@ PINNED_TRACES = {
         _OVERLAP, True,
         dict(loss_kind="smoothed_ap_gd", step_size=0.5, smoothed=SmoothedApConfig(log_space=True),
              max_iters=30),
-        "f4a1834e243deb4d0160eec4f49005a05cc9cb3d04ffd7ee04ff6a0517f6ff81",
+        "ceb978d7d5ce4dd728f902c38c6424b8bb965398c409adc715f907287b472401",
     ),
     "smoothed_per_group": (
         _SEPARABLE, True,
         dict(loss_kind="smoothed_ap_gd", update_scope="per_group", max_iters=30, seed=2),
-        "be2ce93f8e3b44525ffb0ae08c1e6b5df33c67ad1cae45e6cc12e2187365124c",
+        "e562f4f072249a6fd46b4b57b8bb46c07911e9ab509992f508df56a1cb04749a",
     ),
     "auc_heaviside": (
         _OVERLAP, True, dict(loss_kind="auc", step_size=0.5, stop_at_zero_loss=False, max_iters=30),
