@@ -229,6 +229,12 @@ def inseparable_step(model: LinearModel, data: RankingDataset, cfg: TrainConfig)
     return train(model, data, replace(cfg, loss_kind="inseparable_ap", **_ONE_JOINT_ITERATION))[0]
 
 
+def _errs(scores: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> bool:
+    """Whether the batch's exact hard-step loss is above 0: some negative
+    scores at or above some positive, ties counting against the positive."""
+    return bool(pos.shape[0] and neg.shape[0] and scores[neg].max() >= scores[pos].min())
+
+
 def _finite_scores(features: np.ndarray, theta: np.ndarray, iteration: int, kind: str):
     scores = features @ theta
     if not np.isfinite(scores).all():
@@ -249,19 +255,14 @@ def train(
 
     Each iteration evaluates the update batch (whole dataset, or one
     erring group in ``per_group`` scope) at the current weights, records a
-    trace row, and then applies the weight update.  The update batch's
-    negatives are sorted once per iteration into a rank view built for the
-    rule's step, which the rule reads: the trivial negatives of every rule
-    that runs the accelerated kernel (all but the smoothed one) are only
-    counted, and each class whose order the kernel reads takes one
-    packed-key sort.  A joint batch's exact loss reads the same view; in
-    ``per_group`` scope every group's loss comes from a counting view,
-    which for an unbounded step is that step's view, so only a bounded
-    step builds the chosen group's view anew from the counting view's
-    scores, sorting its kept negatives a second time.  The views are
-    dropped before the weights move, so no sorted copy outlives its
-    iteration.  Group id -1 marks the whole dataset in the trace, so
-    ``per_group`` scope refuses a dataset that uses it.
+    trace row, and then applies the weight update.  A group errs exactly
+    when its highest negative scores at or above its lowest positive, so
+    ``per_group`` scope finds the erring groups without sorting them.  The
+    update batch's negatives are sorted once per iteration into a rank
+    view built for the rule's step, which gives both the traced exact loss
+    and the rule's input, and which is dropped before the weights move.
+    Group id -1 marks the whole dataset in the trace, so ``per_group``
+    scope refuses a dataset that uses it.
     Non-convergence is a recorded outcome, not an error; scores that
     overflow to inf or NaN raise ``ValueError`` naming the iteration.
     ``timing`` fills the trace's wall_ns column with measured times of the
@@ -289,35 +290,31 @@ def train(
         if -1 in gids:
             raise ValueError("per-group training refuses group id -1, the whole dataset's mark")
         batches = [(rows, *partition(data.subset(rows))) for rows in map(data.group_rows, gids)]
+        # Each group's classes as dataset rows, so the erring test gathers no group's scores.
+        classes = [(rows[p], rows[n]) for rows, p, n in batches]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
-    # The smoothed rule runs no kernel, so its view only counts.  For a
-    # bounded step, per-group views only count until a group is chosen.
+    # The smoothed rule runs no kernel, so its view only counts.
     step = None if cfg.loss_kind == "smoothed_ap_gd" else cfg.step_cfg
     prune = cfg.grad_opts.prune_trivial_negatives
-    batch_step = None if per_group and _pairwise.bounded(step) else step
 
     # A diverging run overflows; the finiteness checks, not numpy's warnings, report it.
     with np.errstate(over="ignore"):
         for it in range(1, cfg.max_iters + 1):
             scores = _finite_scores(features, theta, it, cfg.loss_kind)
-            views = [RankView(scores[r], p, n, batch_step, prune) for r, p, n in batches]
-            losses = [_ap_loss_core(v) for v in views]
             chosen = 0
             if per_group:
-                erring = [k for k, v in enumerate(losses) if v > 0.0]
+                erring = [k for k, (p, n) in enumerate(classes) if _errs(scores, p, n)]
                 if not erring:
                     if cfg.stop_at_zero_loss:
                         break
                     erring = list(range(len(gids)))
                 chosen = erring[int(rng.integers(len(erring)))]
-            view, loss = views[chosen], losses[chosen]
-            if view.step is not step:  # the chosen group's view for a bounded step
-                view = RankView(view.scores, view.pos, view.neg, step, prune)
-            del views  # the other groups' sorted copies go before the rule runs
-            rows = batches[chosen][0]
+            rows, pos, neg = batches[chosen]
+            view = RankView(scores[rows], pos, neg, step, prune)
+            loss = _ap_loss_core(view)
 
             t0 = time.perf_counter_ns()
             surrogate, grad, pruned = rule(view, cfg)

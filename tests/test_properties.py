@@ -8,7 +8,9 @@ batches also draw +-0.0 and scores near +-1e308, whose differences
 overflow to +-inf, and the band path also runs on quarter ticks offset
 by 1e6, where a score's ulp is 1.2e-10.  The rank view is also checked
 against the standalone sorts it replaced on negatives within 2 ulps of
-the pruning cut s_min - delta.
+the pruning cut s_min - delta.  Per-group training's erring test is
+checked against the exact loss on batches whose highest negative ties
+the lowest positive, as a zero of either sign, or sits one ulp below it.
 Runs are derandomized and keep no example database, so every run draws
 the same examples.
 """
@@ -42,8 +44,8 @@ from ranklosslab import (
 )
 from ranklosslab import gradients
 from ranklosslab._pairwise import RankView, diff_block, diffs, rank_counts
-from ranklosslab.losses import _auc_core
-from ranklosslab.trainer import _inseparable_grad
+from ranklosslab.losses import _ap_loss_core, _auc_core
+from ranklosslab.trainer import _errs, _inseparable_grad
 from helpers import per_pair_sigmoid, sigmoid_chunk_rows, smoothed_ap_longdouble
 
 STEPS = (
@@ -173,6 +175,49 @@ def test_hard_step_losses_keep_the_dense_bits(batch):
     value, update = auc_grad(batch)
     assert_same_bits(value, auc_value)
     assert_same_bits(update, grad)
+
+
+NEAR_1E300 = (0.0, -0.0, 1e300, -1e300, np.nextafter(1e300, 0.0), np.nextafter(-1e300, 0.0))
+
+
+@st.composite
+def erring_edge_batches(draw, max_n=24):
+    """Half ticks, +-0.0 and scores within an ulp of +-1e300, with ignored
+    samples.  One class may be dropped, and the negatives may be clamped
+    so that the highest one ties the lowest positive, ties it as a zero of
+    the other sign, or sits one ulp below it."""
+    n = draw(st.integers(2, max_n))
+    ticks = st.integers(-4, 4).map(lambda t: t / 2.0)
+    scores = np.array(
+        draw(st.lists(st.one_of(ticks, st.sampled_from(NEAR_1E300)), min_size=n, max_size=n))
+    )
+    labels = np.array(draw(st.lists(st.sampled_from((1, 0, -1)), min_size=n, max_size=n)))
+    labels[labels == draw(st.sampled_from((None, None, None, 0, 1)))] = -1
+    pos, neg = labels == 1, labels == 0
+    edge = draw(st.sampled_from(("free", "tie", "zeros", "below")))
+    if edge != "free" and pos.any() and neg.any():
+        if edge == "zeros":
+            scores[pos] = np.abs(scores[pos])
+            scores[np.flatnonzero(pos)[0]] = draw(st.sampled_from((0.0, -0.0)))
+        s_min = scores[pos].min()
+        top = np.nextafter(s_min, -np.inf) if edge == "below" else s_min
+        scores[neg] = np.minimum(scores[neg], top)
+        scores[np.flatnonzero(neg)[np.argmax(scores[neg])]] = -top if edge == "zeros" else top
+    return SampleBatch(scores, labels)
+
+
+@PROPERTY
+@given(erring_edge_batches())
+def test_erring_test_is_the_exact_loss_above_zero(batch):
+    # Per-group training picks erring groups with this max/min test and
+    # takes the chosen group's loss from the view built for the rule's
+    # step, which keeps the counting view's bits.
+    pos, neg = partition(batch)
+    loss = _ap_loss_core(RankView(batch.scores, pos, neg))
+    assert _errs(batch.scores, pos, neg) == (loss > 0.0)
+    for step in STEPS:
+        for prune in (False, True):
+            assert_same_bits(_ap_loss_core(RankView(batch.scores, pos, neg, step, prune)), loss)
 
 
 @OVERFLOW_OK

@@ -147,9 +147,11 @@ class TestTrainConvergence:
         assert trace.iterations == 25
 
     def test_per_group_evaluates_each_group_once_per_iteration(self, monkeypatch):
-        # The chosen group's traced loss is the one computed to pick it.
-        calls = []
-        counted = trainer_module._ap_loss_core
+        # Each group takes one erring test, and only the chosen group's view
+        # gives a loss, the one traced.
+        checks, calls = [], []
+        errs, counted = trainer_module._errs, trainer_module._ap_loss_core
+        monkeypatch.setattr(trainer_module, "_errs", lambda *a: checks.append(1) or errs(*a))
         monkeypatch.setattr(
             trainer_module, "_ap_loss_core", lambda *a: calls.append(1) or counted(*a)
         )
@@ -159,7 +161,8 @@ class TestTrainConvergence:
         cfg = TrainConfig(max_iters=40, stop_at_zero_loss=False, update_scope="per_group")
         _, trace = train(LinearModel(np.zeros(4)), data, cfg)
         assert trace.iterations == 40
-        assert len(calls) == 40 * 3 + 1  # every group each iteration, plus the final joint loss
+        assert len(checks) == 40 * 3
+        assert len(calls) == 40 + 1  # the chosen group each iteration, plus the final joint loss
 
     def test_per_group_scope_refuses_group_id_minus_one(self):
         # -1 marks the whole dataset in a trace, so the bound replay would
@@ -697,39 +700,35 @@ class TestUpdateRules:
 
     @pytest.mark.parametrize("scope", ["joint", "per_group"])
     @pytest.mark.parametrize(
-        "kind, step, bounded",
+        "kind, step",
         [
-            ("error_driven_ap", StepConfig.piecewise(1.0), True),
-            ("inseparable_ap", StepConfig.piecewise(1.0), True),
-            ("error_driven_ap", StepConfig.sigmoid(0.5), False),
-            ("auc", StepConfig.sigmoid(0.5), False),
-            ("smoothed_ap_gd", StepConfig.heaviside(), False),
+            ("error_driven_ap", StepConfig.piecewise(1.0)),
+            ("inseparable_ap", StepConfig.piecewise(1.0)),
+            ("error_driven_ap", StepConfig.sigmoid(0.5)),
+            ("auc", StepConfig.sigmoid(0.5)),
+            ("smoothed_ap_gd", StepConfig.heaviside()),
         ],
         ids=["ed_ramp", "inseparable", "ed_sigmoid", "auc_sigmoid", "smoothed"],
     )
     def test_each_groups_negatives_are_sorted_once_per_iteration(
-        self, monkeypatch, kind, step, bounded, scope
+        self, monkeypatch, kind, step, scope
     ):
-        # Every view sorts its negatives once.  A joint run builds one view
-        # per iteration.  A per-group run builds every group's counting view,
-        # and for the chosen group a second view, which sorts the kept
-        # negatives again, only when the step is bounded: the sigmoid and
-        # the smoothed rule read the counting view's sorted negatives.  One
-        # more view gives the final loss.
+        # Every view sorts its negatives once, and each iteration builds one
+        # view, for its batch and the rule's step, in either scope: a
+        # per-group run sorts only the chosen group.  One more view gives
+        # the final loss.
         views = []
         init = RankView.__init__
         monkeypatch.setattr(RankView, "__init__", lambda v, *a: views.append(1) or init(v, *a))
-        groups = 3
         data = generate(
-            SynthConfig(dim=4, positives=9, negatives=30, groups=groups, margin=-0.5, seed=2)
+            SynthConfig(dim=4, positives=9, negatives=30, groups=3, margin=-0.5, seed=2)
         )
         cfg = TrainConfig(
             loss_kind=kind, step_cfg=step, update_scope=scope, max_iters=12, stop_at_zero_loss=False
         )
         _, trace = train(LinearModel(np.zeros(4)), data, cfg)
         assert trace.iterations == 12
-        per_iteration = 1 if scope == "joint" else groups + bounded
-        assert len(views) == per_iteration * 12 + 1
+        assert len(views) == 12 + 1
 
 
 # Whole training traces pinned by sha256 (every column, the weight
@@ -746,6 +745,9 @@ _SEPARABLE = SynthConfig(
 )
 _OVERLAP = SynthConfig(dim=6, positives=12, negatives=240, groups=3, margin=-0.5, seed=5)
 _WIDE = SynthConfig(dim=6, positives=40, negatives=1000, margin=0.2, seed=6)
+_SIX = SynthConfig(
+    dim=6, positives=12, negatives=240, groups=6, margin=0.2, seed=7, score_shift=1.0
+)
 _H, _SIG = StepConfig.heaviside(), StepConfig.sigmoid(0.5)
 _RAMP, _HALF = StepConfig.piecewise(1.0), StepConfig.piecewise(0.5)
 PINNED_TRACES = {
@@ -779,6 +781,12 @@ PINNED_TRACES = {
     "ed_sigmoid_interpolated": (
         _OVERLAP, True, dict(step_cfg=_SIG, grad_opts=GradOptions(True, True, False), max_iters=30),
         "71b21242f4ba913a4567024173d6ebc8b910f172370832f14d1047e7af4e6abd",
+    ),
+    "ed_ramp_per_group_shrinking": (
+        _SIX, True,
+        dict(step_cfg=_HALF, update_scope="per_group", stop_at_zero_loss=False, max_iters=40,
+             seed=7),
+        "53a549ee223dabb2c25adfafced1d63c3135249297a748da70598c2d02c6fca7",
     ),
     "smoothed_log_space": (
         _OVERLAP, True,
@@ -834,6 +842,23 @@ def _pinned_run(name):
 def test_training_traces_keep_their_pinned_bytes(name):
     trace, digest = _pinned_run(name)
     assert trace_digest(trace) == digest
+
+
+@pytest.mark.parametrize(
+    "name", ["ed_heaviside_interpolated_per_group", "ed_ramp_per_group_shrinking"]
+)
+def test_per_group_traces_draw_from_a_shrunk_erring_list(name):
+    # What these digests pin beyond the other per-group ones: some
+    # iteration draws its group from erring groups while another group has
+    # zero loss, so the draw depends on the erring list's members and order.
+    trace, _ = _pinned_run(name)
+    data = generate(PINNED_TRACES[name][0])
+    rows = [data.group_rows(g) for g in data.groups()]
+    erring = [
+        sum(ap_loss(SampleBatch(data.features[r] @ theta, data.labels[r])) > 0.0 for r in rows)
+        for theta in trace.thetas
+    ]
+    assert any(0 < k < len(rows) for k in erring)
 
 
 @pytest.mark.parametrize("name", ["ed_ramp_many_row_groups", "ed_ramp_many_row_groups_all_tied"])
