@@ -18,6 +18,15 @@ place, takes the rows' sums of the derivative as one matrix-vector
 product with b, scaled by a_i, and adds the quotient rule's column sums
 without their factor b_j, which multiplies them once per call.  Past the
 span the derivative is sig * (1 - sig) per pair, with unit factors.
+
+Where ``_pairwise.sigmoid_series`` finds the Taylor series over bins of
+negatives cheaper (large batches within the span, by its cost model), the
+negatives' row sums of the sigmoid and of its slope, and their columns of
+the slopes weighted by num_i/(p denom_i^2) - 1/(p denom_i), come from
+``_pairwise.SigmoidSeries`` instead, to within about 1e-16 of a pair, and
+only the positives' own block is built, by ``sigmoid_rows`` over the
+positives alone: once for its row sums before the series, once for its
+weighted columns after it.
 """
 
 from __future__ import annotations
@@ -62,9 +71,32 @@ def _smoothed_core(
     cols = _pairwise.columns(pos, neg)
     # Only valid scores enter the block, so ignored samples change no bit
     # of the result.
+    s = scores[cols]
+    bounds = float(s.min()), float(s.max())
+    series = _pairwise.sigmoid_series(s, p, cfg.k, bounds)
+    if series is None:
+        value, g = _smoothed_rows(s, p, cfg.k, bounds)
+    else:
+        value, g = _smoothed_series(series, s, p, cfg.k)
+    # Allocated only now, so it is not held while the block is evaluated.
+    grad = np.zeros(scores.shape[0])
+    grad[cols] = g
+    if cfg.log_space:
+        # Minimizing -log(1 - value + eps) maximizes log(smoothed AP + eps).
+        grad *= 1.0 / (1.0 - value + cfg.epsilon)
+        return float(-np.log(1.0 - value + cfg.epsilon)), grad
+    return value, grad
+
+
+def _smoothed_rows(
+    s: np.ndarray, p: int, k: float, bounds: tuple[float, float]
+) -> tuple[float, np.ndarray]:
+    """The smoothed value and its gradient over ``s`` (positives, then
+    negatives, with (min, max) ``bounds``) from the dense rows of
+    ``_pairwise.sigmoid_rows``."""
     num, denom, own = np.empty(p), np.empty(p), np.empty(p)
-    g = np.zeros(cols.shape[0])
-    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(scores[cols], p, cfg.k):
+    g = np.zeros(s.shape[0])
+    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(s, p, k, bounds):
         num[i0:i1] = sig[:, p:].sum(axis=1)
         denom[i0:i1] = 1.0 + num[i0:i1] + sig[:, :p].sum(axis=1)
 
@@ -72,7 +104,7 @@ def _smoothed_core(
         # the separable span it is sig * (1 - sig), with unit factors.
         if a is None:
             sig *= 1.0 - sig
-            a, b = np.ones(i1 - i0), np.ones(cols.shape[0])
+            a, b = np.ones(i1 - i0), np.ones(s.shape[0])
         else:
             sig *= sig
         # d(value)/d(s_m): the quotient rule splits into a per-column part (m
@@ -88,16 +120,44 @@ def _smoothed_core(
         own[i0:i1] = w_den * (sig[:, :p] @ b[:p]) - w_neg * (sig[:, p:] @ b[p:])
     g *= b
     g[:p] += own
-    g /= cfg.k
-    value = float((num / denom).sum() / p)
-    # Allocated only now, so it is not held while the block is evaluated.
-    grad = np.zeros(scores.shape[0])
-    grad[cols] = g
-    if cfg.log_space:
-        # Minimizing -log(1 - value + eps) maximizes log(smoothed AP + eps).
-        scale = 1.0 / (1.0 - value + cfg.epsilon)
-        return float(-np.log(1.0 - value + cfg.epsilon)), grad * scale
-    return value, grad
+    g /= k
+    return float((num / denom).sum() / p), g
+
+
+def _smoothed_series(
+    series: _pairwise.SigmoidSeries, s: np.ndarray, p: int, k: float
+) -> tuple[float, np.ndarray]:
+    """``_smoothed_rows``' results with the negatives' sums from ``series``
+    and the positives' own block from ``sigmoid_rows`` over the positives
+    alone, separable within the span that ``series`` holds: its row sums
+    come first, and its weighted column sums, once ``series`` has given
+    every weight, last."""
+    s_pos = s[:p]
+    pos_sig, pos_slope = np.empty(p), np.empty(p)
+    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(s_pos, p, k):
+        pos_sig[i0:i1] = sig.sum(axis=1)
+        sig *= sig
+        pos_slope[i0:i1] = a * (sig @ b)
+    num, denom, w_den, own = np.empty(p), np.empty(p), np.empty(p), np.empty(p)
+
+    def weigh(i0, i1, neg_sig, neg_slope):
+        num[i0:i1] = neg_sig
+        denom[i0:i1] = 1.0 + neg_sig + pos_sig[i0:i1]
+        w_num = 1.0 / (p * denom[i0:i1])
+        w_den[i0:i1] = w_num * (neg_sig / denom[i0:i1])
+        w_neg = w_num - w_den[i0:i1]
+        own[i0:i1] = w_den[i0:i1] * pos_slope[i0:i1] - w_neg * neg_slope
+        return w_neg
+
+    g = np.zeros(s.shape[0])
+    series.sums(s_pos, weigh, True, g[p:])
+    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(s_pos, p, k):
+        sig *= sig
+        g[:p] -= (w_den[i0:i1] * a) @ sig
+    g[:p] *= b
+    g[:p] += own
+    g /= k
+    return float((num / denom).sum() / p), g
 
 
 def smoothed_ap_loss_and_grad(
@@ -108,8 +168,9 @@ def smoothed_ap_loss_and_grad(
     The hard steps of the pairwise loss are replaced by sigmoids of slope
     scale ``k`` so the objective is differentiable everywhere; the gradient
     is exact (finite-difference checkable), not error-driven.  The sigmoid
-    block comes from ``_pairwise.sigmoid_rows``, a few rows at a time, so
-    no P x n array is allocated.
+    block comes from ``_pairwise.sigmoid_rows``, a few rows at a time, or
+    on large batches its negatives' sums from the series kernel
+    ``_pairwise.SigmoidSeries``, so no P x n array is allocated.
     Ignored samples change no bit of the result.
     """
     pos, neg = partition(batch)

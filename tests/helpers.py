@@ -7,13 +7,15 @@ correctness rather than repetition.  ``smoothed_ap_longdouble`` writes
 the smoothed AP objective out densely in long double.
 ``sigmoid_chunk_rows`` instead shrinks the sigmoid block's row chunks, so
 that small batches run through the same chunk loop as large ones,
+``sigmoid_series_path`` records which sigmoid route each call took and
+can force the series kernel on any batch within the separable span,
 ``per_pair_sigmoid`` records whether the block took its per-pair form,
 and ``trace_digest`` condenses a whole training trace into one sha256 for
 tests that pin its bytes.
 """
 
 import hashlib
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -94,10 +96,32 @@ def sigmoid_chunk_rows(rows, n_valid):
     return mock.patch.object(_pairwise, "_SIGMOID_CHUNK", rows * n_valid)
 
 
+@contextmanager
+def sigmoid_series_path(force=False):
+    """Yield a list that gets, for each call of ``_pairwise.sigmoid_series``,
+    True where the call took the series kernel and False where it left the
+    negatives' sums to the dense rows.  With ``force`` the dispatch rule
+    ``_series_pays`` says yes to every batch, so every batch with both
+    classes within the separable span takes the series kernel."""
+    taken, real = [], _pairwise.sigmoid_series
+
+    def spy(*args):
+        series = real(*args)
+        taken.append(series is not None)
+        return series
+
+    forced = mock.patch.object(_pairwise, "_series_pays", lambda *_: True)
+    with mock.patch.object(_pairwise, "sigmoid_series", spy), forced if force else nullcontext():
+        yield taken
+
+
 def per_pair_sigmoid():
     """A mock of ``_pairwise.step_value`` whose ``called`` says whether
     ``sigmoid_rows`` took one bounded ``exp`` per pair (past the separable
-    span) instead of the separable factors."""
+    span) instead of the separable factors.  Either route of the sigmoid
+    sums calls it there: past the span the series kernel is never taken,
+    and within it the positives' own block, all that the series leaves to
+    ``sigmoid_rows``, is separable too."""
     return mock.patch.object(_pairwise, "step_value", wraps=_pairwise.step_value)
 
 

@@ -1,20 +1,31 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from ranklosslab import _pairwise
 from ranklosslab import (
+    LinearModel,
     SampleBatch,
     SmoothedApConfig,
+    StepConfig,
     auc_grad,
+    generate,
+    grad_accelerated,
     hinge_error_driven,
+    score_dataset,
     smoothed_ap_loss_and_grad,
     softmax_error_driven,
+    train,
 )
+from ranklosslab.experiments import GD_FAILURE_INIT, default_sweep_spec, gd_failure_dataset
 from helpers import (
     central_diff,
     per_pair_sigmoid,
     random_batch_arrays,
     sigmoid_chunk_rows,
+    sigmoid_series_path,
     smoothed_ap_longdouble,
 )
 
@@ -112,6 +123,54 @@ class TestSmoothedAp:
                 # Inside the guard the squared sigmoid rows never underflow:
                 # every entry that is nonzero in long double is nonzero here.
                 assert not separable or (grad[ref_grad != 0] != 0).all()
+
+
+class TestSeriesDispatch:
+    """Which route the sigmoid sums take, as dispatched."""
+
+    @staticmethod
+    def routes(batch):
+        with sigmoid_series_path() as taken:
+            smoothed_ap_loss_and_grad(batch, SmoothedApConfig(log_space=True))
+            grad_accelerated(batch, StepConfig.sigmoid(0.5))
+        return taken
+
+    def test_the_sweeps_largest_batch_takes_the_series(self):
+        rng = np.random.default_rng(4)
+        labels = np.repeat([1, 0], [50, 50_000])
+        assert self.routes(SampleBatch(rng.standard_normal(labels.shape[0]) * 2.0, labels)) == [
+            True, True
+        ]
+
+    def test_a_span_past_the_guard_takes_the_dense_rows(self):
+        rng = np.random.default_rng(4)
+        labels = np.repeat([1, 0], [50, 50_000])
+        scores = rng.standard_normal(labels.shape[0]) * 2.0
+        scores[-1] = 360.0 * 0.5  # (max - min)/k just past 350 at k = 0.5
+        assert self.routes(SampleBatch(scores, labels)) == [False, False]
+
+    def test_the_series_agrees_with_the_dense_rows_along_the_sweeps_run(self):
+        # The sweep's smoothed arm at 1:1000, every 10th of its first 60
+        # iterations: from all scores tied to a span of about 20 k.
+        spec = default_sweep_spec()
+        cfg = spec.train["smoothed_ap_gd"]
+        data = generate(replace(spec.synth, negatives=50_000))
+        _, trace = train(
+            LinearModel(np.zeros(data.dim)), data, replace(cfg, max_iters=60, record_weights=True)
+        )
+        for theta in trace.thetas[::10]:
+            batch = score_dataset(LinearModel(theta), data)
+            with sigmoid_series_path() as taken:
+                loss, grad = smoothed_ap_loss_and_grad(batch, cfg.smoothed)
+            with mock.patch.object(_pairwise, "_series_pays", lambda *_: False):
+                ref_loss, ref_grad = smoothed_ap_loss_and_grad(batch, cfg.smoothed)
+            assert taken == [True]
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    def test_the_three_sample_counterexample_takes_the_dense_rows(self):
+        batch = score_dataset(LinearModel(np.array(GD_FAILURE_INIT)), gd_failure_dataset())
+        assert self.routes(batch) == [False, False]
 
 
 class TestAucGrad:

@@ -7,14 +7,16 @@ import pytest
 from ranklosslab import (
     GradOptions,
     SampleBatch,
+    SmoothedApConfig,
     StepConfig,
     ap_loss,
     grad_accelerated,
     grad_bruteforce,
     grad_reference,
+    smoothed_ap_loss_and_grad,
 )
 from ranklosslab import gradients
-from helpers import random_batch_arrays
+from helpers import random_batch_arrays, sigmoid_series_path
 
 ALL_KINDS = [
     StepConfig.heaviside(),
@@ -145,6 +147,34 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+    # The sigmoid sums at 50:50,000, from the series kernel or the dense
+    # rows, with every score tied, at sd 2, and at a span of 340 in units
+    # of k, near the separable guard, where the series' grid of positives
+    # by bins would take 15 MB were it not chunked by positives.
+    @pytest.mark.parametrize("series", [False, True], ids=["dispatched", "series"])
+    @pytest.mark.parametrize("spread", ["all_tied", "normal_sd2", "near_guard"])
+    @pytest.mark.parametrize("call", ["sigmoid_grad", "smoothed"])
+    def test_sigmoid_peak_stays_below_8_mb(self, series, spread, call):
+        rng = np.random.default_rng(1)
+        labels = np.repeat([1, 0], [50, 50_000])
+        if spread == "near_guard":
+            scores = rng.uniform(-85.0, 85.0, labels.shape[0])
+        else:
+            scores = rng.standard_normal(labels.shape[0]) * (0.0 if spread == "all_tied" else 2.0)
+        batch = SampleBatch(scores, labels)
+        with sigmoid_series_path(series) as taken:
+            tracemalloc.start()
+            try:
+                if call == "smoothed":
+                    smoothed_ap_loss_and_grad(batch, SmoothedApConfig(k=0.5))
+                else:
+                    grad_accelerated(batch, StepConfig.sigmoid(0.5))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert taken == [series or spread != "near_guard"]
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 

@@ -11,8 +11,10 @@ against the standalone sorts it replaced on negatives within 2 ulps of
 the pruning cut s_min - delta.  Per-group training's erring test is
 checked against the exact loss on batches whose highest negative ties
 the lowest positive, as a zero of either sign, or sits one ulp below it.
-Runs are derandomized and keep no example database, so every run draws
-the same examples.
+The smoothed baseline and the sigmoid gradient run on both routes of the
+sigmoid sums, the dense rows and the series kernel forced on every batch,
+and on fixed batches for the series' edge cases.  Runs are derandomized
+and keep no example database, so every run draws the same examples.
 """
 
 from unittest import mock
@@ -42,11 +44,16 @@ from ranklosslab import (
     step_value,
     surrogate_loss,
 )
-from ranklosslab import gradients
+from ranklosslab import _pairwise, gradients
 from ranklosslab._pairwise import RankView, diff_block, diffs, rank_counts
 from ranklosslab.losses import _ap_loss_core, _auc_core
 from ranklosslab.trainer import _errs, _inseparable_grad
-from helpers import per_pair_sigmoid, sigmoid_chunk_rows, smoothed_ap_longdouble
+from helpers import (
+    per_pair_sigmoid,
+    sigmoid_chunk_rows,
+    sigmoid_series_path,
+    smoothed_ap_longdouble,
+)
 
 STEPS = (
     StepConfig.heaviside(),
@@ -571,30 +578,39 @@ def outlier_batches(draw):
 
 
 SMOOTHED_KINDS = {"ticks": batches(), "offset": offset_batches(), "outlier": outlier_batches()}
+# Each kind as dispatched (the dense rows, at these sizes) and with the
+# series kernel forced.
+SERIES_ROUTES = [pytest.param(kind, False, id=kind) for kind in SMOOTHED_KINDS] + [
+    pytest.param(kind, True, id=f"{kind}-series") for kind in SMOOTHED_KINDS
+]
 SMOOTHED_CFGS = tuple(
     SmoothedApConfig(k=k, log_space=log_space) for k in (0.25, 0.5, 1.0) for log_space in (False, True)
 )
 
 
-@pytest.mark.parametrize("kind", SMOOTHED_KINDS)
+@pytest.mark.parametrize("kind, series", SERIES_ROUTES)
 @PROPERTY
 @given(st.data(), st.sampled_from(SMOOTHED_CFGS), st.sampled_from((None, 1, 3)))
-def test_smoothed_ap_matches_the_long_double_definition(kind, data, cfg, chunk_rows):
+def test_smoothed_ap_matches_the_long_double_definition(kind, series, data, cfg, chunk_rows):
     # Within 1e-9 of the largest reference entry; exact zeros are not
     # required to match, as the per-pair form rounds gradients of 1e-20 to 0.
-    # The block also runs in chunks of one and of three rows.
+    # The block also runs in chunks of one and of three rows.  Small
+    # batches take the dense rows unless the series kernel is forced; past
+    # the separable span (the +-720 outliers) they take them even then.
     batch = data.draw(SMOOTHED_KINDS[kind])
     n_valid = int((batch.labels >= 0).sum())
-    with sigmoid_chunk_rows(chunk_rows, n_valid), per_pair_sigmoid() as per_pair:
+    with sigmoid_chunk_rows(chunk_rows, n_valid), per_pair_sigmoid() as per_pair, \
+            sigmoid_series_path(series) as taken:
         loss, grad = smoothed_ap_loss_and_grad(batch, cfg)
     both_classes = (batch.labels == 1).any() and (batch.labels == 0).any()
     assert per_pair.called == (kind == "outlier" and both_classes)
+    assert any(taken) == (series and both_classes and kind != "outlier")
     ref_loss, ref_grad = smoothed_ap_longdouble(batch, cfg)
     assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss) + 1e-15
     assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
 
 
-@pytest.mark.parametrize("kind", SMOOTHED_KINDS)
+@pytest.mark.parametrize("kind, series", SERIES_ROUTES)
 @PROPERTY
 @given(
     st.data(),
@@ -602,13 +618,64 @@ def test_smoothed_ap_matches_the_long_double_definition(kind, data, cfg, chunk_r
     st.booleans(),
     st.sampled_from((None, 1, 3)),
 )
-def test_sigmoid_path_matches_the_oracles(kind, data, step, interpolated, chunk_rows):
-    # The sigmoid error-driven gradient reads the same block rows as the
-    # smoothed baseline: separable within the span, per pair past it (the
-    # +-720 outliers), at the default chunk and at one and three rows.
+def test_sigmoid_path_matches_the_oracles(kind, series, data, step, interpolated, chunk_rows):
+    # The sigmoid error-driven gradient reads the same sums as the smoothed
+    # baseline: separable rows within the span, per pair past it (the
+    # +-720 outliers), or the series kernel, at the default chunk and at
+    # one and three rows.
     batch = data.draw(SMOOTHED_KINDS[kind])
     n_valid = int((batch.labels >= 0).sum())
-    with sigmoid_chunk_rows(chunk_rows, n_valid), per_pair_sigmoid() as per_pair:
+    with sigmoid_chunk_rows(chunk_rows, n_valid), per_pair_sigmoid() as per_pair, \
+            sigmoid_series_path(series) as taken:
         assert_matches_the_oracles(batch, step, interpolated, prune=True)
     both_classes = (batch.labels == 1).any() and (batch.labels == 0).any()
     assert per_pair.called == (kind == "outlier" and both_classes)
+    assert any(taken) == (series and both_classes and kind != "outlier")
+
+
+def series_edge_batch(kind, k=0.5):
+    """Fixed batches for the series kernel's edge cases, with k = 0.5."""
+    rng = np.random.default_rng(23)
+    ignored = np.empty(0)
+    if kind == "all_tied":  # span 0: one bin
+        pos, neg, ignored = np.full(4, 0.5), np.full(9, 0.5), np.full(2, 0.5)
+    elif kind == "bin_edge":  # negatives on edges of every lattice, 2^-2 k to 2^-7 k
+        pos = np.array([-1.0, -0.3, 0.4])
+        neg = np.concatenate([-1.0 + 0.125 * np.arange(12), rng.uniform(-1.0, 0.5, 6)])
+    elif kind == "one_positive":
+        pos, neg = np.array([0.2]), rng.standard_normal(30)
+    elif kind == "ignored":  # ignored samples far outside the span and tied to others
+        pos, neg = np.array([0.25, -0.5, 0.25]), np.round(rng.standard_normal(20) * 4.0) / 4.0
+        ignored = np.array([1e4, -1e4, 0.25, neg[0]])
+    else:  # "span_inside", "span_past": (max - min)/k a hair either side of the guard
+        span = _pairwise._SEPARABLE_SPAN * (1 - 1e-9 if kind == "span_inside" else 1 + 1e-9)
+        half = span * k / 2
+        pos, neg = np.array([half, -half, 0.3]), np.array([half, -half, -0.2, 0.1])
+    scores = np.concatenate([pos, neg, ignored])
+    labels = np.repeat([1, 0, -1], [pos.shape[0], neg.shape[0], ignored.shape[0]])
+    order = rng.permutation(scores.shape[0])
+    return SampleBatch(scores[order], labels[order])
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["dispatched", "series"])
+@pytest.mark.parametrize(
+    "kind", ["all_tied", "bin_edge", "one_positive", "ignored", "span_inside", "span_past"]
+)
+def test_series_edge_cases_match_the_oracles(series, kind):
+    # Both routes of both consumers of the sigmoid sums, at the property
+    # tests' bounds; past the guard even the forced series leaves the
+    # batch to the per-pair rows.  Inside it no slope that is nonzero in
+    # long double rounds to zero, however far out in a tail.
+    batch = series_edge_batch(kind)
+    for cfg in (SmoothedApConfig(k=0.5), SmoothedApConfig(k=0.5, log_space=True)):
+        with sigmoid_series_path(series) as taken:
+            loss, grad = smoothed_ap_loss_and_grad(batch, cfg)
+        assert taken == [series and kind != "span_past"]
+        ref_loss, ref_grad = smoothed_ap_longdouble(batch, cfg)
+        assert abs(loss - ref_loss) <= 1e-9 * abs(ref_loss) + 1e-15
+        assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max() + 1e-15
+        assert kind == "span_past" or (grad[ref_grad != 0] != 0).all()
+    for interpolated in (False, True):
+        with sigmoid_series_path(series) as taken:
+            assert_matches_the_oracles(batch, StepConfig.sigmoid(0.5), interpolated, prune=True)
+        assert any(taken) == (series and kind != "span_past")

@@ -32,7 +32,7 @@ from ranklosslab import trainer as trainer_module
 from ranklosslab import _pairwise, gradients
 from ranklosslab._pairwise import RankView
 from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
-from helpers import random_batch_arrays, trace_digest
+from helpers import random_batch_arrays, sigmoid_series_path, trace_digest
 
 
 class TestScoreDataset:
@@ -840,8 +840,26 @@ def _pinned_run(name):
 
 @pytest.mark.parametrize("name", PINNED_TRACES)
 def test_training_traces_keep_their_pinned_bytes(name):
-    trace, digest = _pinned_run(name)
+    # None of them is large enough for the sigmoid series kernel.
+    with sigmoid_series_path() as taken:
+        trace, digest = _pinned_run(name)
     assert trace_digest(trace) == digest
+    assert not any(taken)
+
+
+def test_a_smoothed_run_on_the_series_kernel_keeps_its_pinned_bytes():
+    # From zero weights at 50:20,000, every iteration's sigmoid sums take
+    # the series kernel, the first on one bin of tied scores.  The digest is
+    # the same at one BLAS thread and at two.
+    synth = SynthConfig(dim=6, positives=50, negatives=20_000, margin=0.2, seed=8)
+    cfg = TrainConfig(
+        record_weights=True, loss_kind="smoothed_ap_gd", step_size=0.5,
+        smoothed=SmoothedApConfig(log_space=True), max_iters=12,
+    )
+    with sigmoid_series_path() as taken:
+        _, trace = train(LinearModel(np.zeros(synth.dim)), generate(synth), cfg)
+    assert taken == [True] * 12
+    assert trace_digest(trace) == "e448a7c5a3e5f6a17efe70d2d0b915af951db0e34cd328335d948391a1bb4a2d"
 
 
 @pytest.mark.parametrize(
