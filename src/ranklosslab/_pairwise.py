@@ -1,15 +1,15 @@
-"""The dense pairwise block, a rank view for the hard step, and the sigmoid rows.
+"""The dense pairwise block, a rank view for the hard step, and the sigmoid sums.
 
 Row i belongs to positive ``pos[i]``.  Columns run over the positives
 first, then the negatives, so row i's own column is column i; the rank
 denominator 1 + sum_{k != i} step(s_k - s_i) excludes exactly that
 column.  This layout is decided here (``columns``): ``primary_terms``
-builds one row of it, ``sigmoid_rows`` and the smoothed baseline take
+builds one row of it, ``sigmoid_sums`` and the smoothed baseline take
 its column order, and only the gradient oracles build the whole block
 (``diffs``, ``rank_denominators``).  Only the ramp-integral sums of the
 margin-modified surrogate build ``diff_block`` over the negatives alone.
 No other value or update builds a P x n block: each comes from the rank
-view's counts, the accelerated gradient's band kernel or ``sigmoid_rows``,
+view's counts, the accelerated gradient's band kernel or ``sigmoid_sums``,
 and the AUC and margin-modified updates are that kernel with their own
 denominators passed in.
 
@@ -36,28 +36,32 @@ indices and are compressed by the cut mask, so the kernel scatters
 through the order itself.  Tied scores are interchangeable in every one
 of these, so any sort order of them gives the same bits.
 
-The sigmoid has no bounded support.  For the smoothed baseline and the
-sigmoid error-driven gradient its sums come from one of two routes.
-``sigmoid_rows`` builds the rows whole from separable exponentials,
+The sigmoid has no bounded support.  The smoothed baseline and the
+sigmoid error-driven gradient each make one call of ``sigmoid_sums``,
+which hands each chunk of rows its sums over the positives' and the
+negatives' columns, takes the rows' weights back from the caller, and
+returns the weighted column sums, by one of two routes.  The dense rows,
+``sigmoid_rows``, build the rows whole from separable exponentials,
 exp((s_i - s_j)/k) = a_i * b_j with a_i = exp((s_i - c)/k), b_j =
 exp(-(s_j - c)/k) and c the scores' mid-range, so the block costs P + n
 ``exp`` calls, a few rows at a time in one buffer that stays in cache.  The
-factors come with the rows, so the smoothed baseline's derivative k *
-sigmoid' = a_i * sig^2 * b_j needs no block of its own.  Past a score span
-(max - min)/k of 350, where the squared rows could underflow, each pair
-takes one bounded ``exp`` of its own difference instead.
+factors come with the rows, so the derivative k * sigmoid' = a_i *
+sig^2 * b_j needs no block of its own, and b_j multiplies the column sums
+once per call.  Past a score span (max - min)/k of 350, where the squared
+rows could underflow, each pair takes one bounded ``exp`` of its own
+difference instead.
 
 On large batches ``SigmoidSeries`` gives the sums over the negatives
-without the P x n pairs: a Taylor series of the sigmoid about the centres
-of narrow bins of negatives, from each bin's power moments, in O(M (n +
-P B)) for B occupied bins and M orders, with the positives' own P x P
-block left to ``sigmoid_rows``.  The logistic's poles at +-i*pi bound the
-first term that the series leaves out below 1e-16 of a pair
-(``_series_order``).  ``sigmoid_series`` dispatches: within the separable
-span, it takes the series where the cost model ``_series_cost``, fitted to
-both routes' times, puts it below 0.8 of the dense rows' cost
-(``_series_pays``), and leaves every other batch to the dense rows, so
-small batches keep their bits.
+without the P x n pairs: a Taylor series of the sigmoid about the
+centres of narrow bins of negatives, from each bin's power moments, in
+O(M (n + P B)) for B occupied bins and M orders, with the positives' own
+P x P block left to ``sigmoid_rows`` over the positives alone.  The
+logistic's poles at +-i*pi bound the first term that the series leaves
+out below 1e-16 of a pair (``_series_order``).  ``sigmoid_series``
+dispatches: within the separable span, it takes the series where the
+cost model ``_series_cost``, fitted to both routes' times, puts it below
+0.8 of the dense rows' cost (``_series_pays``), and leaves every other
+batch to the dense rows, so small batches keep their bits.
 """
 
 from __future__ import annotations
@@ -137,7 +141,9 @@ def sigmoid_rows(
         else:
             # One bounded exp per pair.
             sig[...] = step_value(np.subtract(s, s[i0:i1, None], out=sig), cfg)
-        np.fill_diagonal(sig[:, i0:], 0.0)
+        # Each row's own column, (r, i0 + r) of the contiguous chunk; a
+        # strided write, a third of ``np.fill_diagonal``'s cost on tiny rows.
+        sig.reshape(-1)[i0 :: n + 1] = 0.0
         yield i0, i1, sig, None if a is None else a[i0:i1], b
 
 
@@ -273,8 +279,8 @@ class SigmoidSeries:
         rows go in chunks in order, and for each chunk ``weigh(i0, i1, sig,
         dsig)`` gets the chunk's sums over the negatives of sigmoid((s_j -
         s_i)/k) and of k sigmoid', and returns the chunk's weights w_i.
-        Called once per kernel.  Each step frees its temporaries before
-        the next allocates its own."""
+        Each step frees its temporaries before the next allocates its own,
+        and the bins stay as they were, so every call sums alike."""
         coef = _series_coefficients(_SERIES_ORDERS[self.e])
         col = self._grid_sums(coef, self._moments(coef.shape[3] - 1), s_rows, weigh)
         self._horner(np.einsum("sqm,qsb->mb", coef[int(slope)], col), out)
@@ -323,8 +329,7 @@ class SigmoidSeries:
         """out_j = sum_m coef_b[m, b_j] t_j^m for bin b_j of negative j."""
         full = np.zeros((coef_b.shape[0], self.counts.shape[0]))
         full[:, self.occupied] = coef_b
-        bins = self.lanes
-        bins >>= 3  # the lanes' work is done; ``sums`` runs once
+        bins = self.lanes >> 3
         full[-1].take(bins, out=out)
         term = np.empty_like(out)
         for m in range(coef_b.shape[0] - 2, -1, -1):
@@ -367,6 +372,69 @@ def sigmoid_series(
     if not _series_pays(p, n, min(n, span_bins), span_bins, _SERIES_ORDERS[e]):
         return None
     return SigmoidSeries(s[p:], lo, k, e)
+
+
+def sigmoid_sums(s: np.ndarray, p: int, k: float, weigh, slope: bool = False) -> np.ndarray:
+    """The weighted column sums of the sigmoid block of the rows ``s[:p]``
+    against every column of ``s``, 0 on each row's own column, by the
+    route that ``sigmoid_series`` picks.  There is at least one row and
+    at least one negative after the rows.
+
+    For each chunk of rows in order, ``weigh(i0, i1, pos, neg)`` gets the
+    rows' sums of sigmoid((s_j - s_i)/k) over the positives' columns and
+    over the negatives', and returns the rows' weights w_i; entry j of the
+    result is sum_i w_i sigmoid((s_j - s_i)/k) over the negatives'
+    columns, 0 over the positives'.  With ``slope``, ``weigh(i0, i1, pos,
+    neg, pos_slope, neg_slope, a)`` also gets the rows' sums of k sigmoid'
+    divided by a_i, the dense rows' factor (1.0 on the series), and returns
+    a_i times the rows' weights (v, w); entry j is then sum_i w_i k
+    sigmoid' over the negatives' columns, minus sum_i v_i k sigmoid' over
+    the positives'.
+    """
+    n = s.shape[0]
+    bounds = float(s.min()), float(s.max())
+    series = sigmoid_series(s, p, k, bounds)
+    g = np.zeros(n)
+    if series is None:
+        for i0, i1, sig, a, b in sigmoid_rows(s, p, k, bounds):
+            pos, neg = sig[:, :p].sum(axis=1), sig[:, p:].sum(axis=1)
+            if not slope:
+                g[p:] += weigh(i0, i1, pos, neg) @ sig[:, p:]
+                continue
+            # k * sigmoid' is a_i * sig^2 * b_j, or sig * (1 - sig) per pair
+            # past the span, with unit factors.
+            if a is None:
+                sig *= 1.0 - sig
+                a, b = np.ones(i1 - i0), np.ones(n)
+            else:
+                sig *= sig
+            v, w = weigh(i0, i1, pos, neg, sig[:, :p] @ b[:p], sig[:, p:] @ b[p:], a)
+            g[:p] -= v @ sig[:, :p]
+            g[p:] += w @ sig[:, p:]
+        if slope:
+            g *= b
+        return g
+    s_pos = s[:p]
+    pos, pos_slope, v = np.empty(p), np.empty(p), np.empty(p)
+    for i0, i1, sig, a, b in sigmoid_rows(s_pos, p, k):
+        pos[i0:i1] = sig.sum(axis=1)
+        if slope:
+            sig *= sig
+            pos_slope[i0:i1] = a * (sig @ b)
+
+    def weigh_series(i0, i1, neg, neg_slope):
+        if not slope:
+            return weigh(i0, i1, pos[i0:i1], neg)
+        v[i0:i1], w = weigh(i0, i1, pos[i0:i1], neg, pos_slope[i0:i1], neg_slope, 1.0)
+        return w
+
+    series.sums(s_pos, weigh_series, slope, g[p:])
+    if slope:
+        for i0, i1, sig, a, b in sigmoid_rows(s_pos, p, k):
+            sig *= sig
+            g[:p] -= (v[i0:i1] * a) @ sig
+        g[:p] *= b
+    return g
 
 
 def _sorted_order(

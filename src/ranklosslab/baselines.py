@@ -8,25 +8,13 @@ update collapses to the gradients of cross-entropy and hinge loss.  The
 AUC gradient is the accelerated error-driven kernel with every rank
 denominator 1 (``losses._auc_core``), so no step builds a P x n block.
 
-The smoothed baseline reduces its P x n sigmoid block a few rows at a
-time, as ``_pairwise.sigmoid_rows`` yields them: from separable
-exponentials a_i * b_j, P + n ``exp`` calls and one outer product, within
-a score span (max - min)/k of 350, and one bounded ``exp`` per pair past
-it.  The block is never whole in memory, and its derivative is never
-built: k * sigmoid' = a_i * sig^2 * b_j, so each chunk squares its rows in
-place, takes the rows' sums of the derivative as one matrix-vector
-product with b, scaled by a_i, and adds the quotient rule's column sums
-without their factor b_j, which multiplies them once per call.  Past the
-span the derivative is sig * (1 - sig) per pair, with unit factors.
-
-Where ``_pairwise.sigmoid_series`` finds the Taylor series over bins of
-negatives cheaper (large batches within the span, by its cost model), the
-negatives' row sums of the sigmoid and of its slope, and their columns of
-the slopes weighted by num_i/(p denom_i^2) - 1/(p denom_i), come from
-``_pairwise.SigmoidSeries`` instead, to within about 1e-16 of a pair, and
-only the positives' own block is built, by ``sigmoid_rows`` over the
-positives alone: once for its row sums before the series, once for its
-weighted columns after it.
+The smoothed baseline is one call of ``_pairwise.sigmoid_sums`` with
+slopes: for each chunk of rows it gets the rows' sums of the sigmoid and
+of k * sigmoid' over the positives' and the negatives' columns, and
+returns the quotient rule's column weights, num_i/(p denom_i^2) over the
+positives' columns and 1/(p denom_i) minus that over the negatives'.  The
+kernel picks the dense rows or the series, so the P x n block is never
+whole in memory and its derivative is never built.
 """
 
 from __future__ import annotations
@@ -69,15 +57,29 @@ def _smoothed_core(
     if p == 0 or neg.shape[0] == 0:
         return 0.0, np.zeros(scores.shape[0])
     cols = _pairwise.columns(pos, neg)
+    num, denom, own = np.empty(p), np.empty(p), np.empty(p)
+
+    def weigh(i0, i1, pos_sig, neg_sig, pos_slope, neg_slope, a):
+        # d(value)/d(s_m): the quotient rule splits into a per-column part (m
+        # is column j or k of row i), weighted by num_i/(p denom_i^2) over
+        # the positives' columns and 1/(p denom_i) - num_i/(p denom_i^2)
+        # over the negatives', and a per-row part (m is the row's own
+        # positive, entering every difference with opposite sign), from the
+        # rows' sums of the slopes.
+        num[i0:i1] = neg_sig
+        d = denom[i0:i1] = 1.0 + neg_sig + pos_sig
+        w_num = a / (p * d)
+        w_den = w_num * (neg_sig / d)
+        w_neg = w_num - w_den
+        own[i0:i1] = w_den * pos_slope - w_neg * neg_slope
+        return w_den, w_neg
+
     # Only valid scores enter the block, so ignored samples change no bit
     # of the result.
-    s = scores[cols]
-    bounds = float(s.min()), float(s.max())
-    series = _pairwise.sigmoid_series(s, p, cfg.k, bounds)
-    if series is None:
-        value, g = _smoothed_rows(s, p, cfg.k, bounds)
-    else:
-        value, g = _smoothed_series(series, s, p, cfg.k)
+    g = _pairwise.sigmoid_sums(scores[cols], p, cfg.k, weigh, slope=True)
+    g[:p] += own
+    g /= cfg.k
+    value = float((num / denom).sum() / p)
     # Allocated only now, so it is not held while the block is evaluated.
     grad = np.zeros(scores.shape[0])
     grad[cols] = g
@@ -88,78 +90,6 @@ def _smoothed_core(
     return value, grad
 
 
-def _smoothed_rows(
-    s: np.ndarray, p: int, k: float, bounds: tuple[float, float]
-) -> tuple[float, np.ndarray]:
-    """The smoothed value and its gradient over ``s`` (positives, then
-    negatives, with (min, max) ``bounds``) from the dense rows of
-    ``_pairwise.sigmoid_rows``."""
-    num, denom, own = np.empty(p), np.empty(p), np.empty(p)
-    g = np.zeros(s.shape[0])
-    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(s, p, k, bounds):
-        num[i0:i1] = sig[:, p:].sum(axis=1)
-        denom[i0:i1] = 1.0 + num[i0:i1] + sig[:, :p].sum(axis=1)
-
-        # k * sigmoid' is a_i * sig^2 * b_j, 0 on the row's own column; past
-        # the separable span it is sig * (1 - sig), with unit factors.
-        if a is None:
-            sig *= 1.0 - sig
-            a, b = np.ones(i1 - i0), np.ones(s.shape[0])
-        else:
-            sig *= sig
-        # d(value)/d(s_m): the quotient rule splits into a per-column part (m
-        # is column j or k of row i), summed here without its factor b_j,
-        # and a per-row part (m is the row's own positive, entering every
-        # difference with opposite sign), from the rows' sums of the slopes.
-        # The weights 1/(p denom_i) and num_i/(p denom_i^2) carry a_i.
-        w_num = a / (p * denom[i0:i1])
-        w_den = w_num * (num[i0:i1] / denom[i0:i1])
-        w_neg = w_num - w_den
-        g[:p] -= w_den @ sig[:, :p]
-        g[p:] += w_neg @ sig[:, p:]
-        own[i0:i1] = w_den * (sig[:, :p] @ b[:p]) - w_neg * (sig[:, p:] @ b[p:])
-    g *= b
-    g[:p] += own
-    g /= k
-    return float((num / denom).sum() / p), g
-
-
-def _smoothed_series(
-    series: _pairwise.SigmoidSeries, s: np.ndarray, p: int, k: float
-) -> tuple[float, np.ndarray]:
-    """``_smoothed_rows``' results with the negatives' sums from ``series``
-    and the positives' own block from ``sigmoid_rows`` over the positives
-    alone, separable within the span that ``series`` holds: its row sums
-    come first, and its weighted column sums, once ``series`` has given
-    every weight, last."""
-    s_pos = s[:p]
-    pos_sig, pos_slope = np.empty(p), np.empty(p)
-    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(s_pos, p, k):
-        pos_sig[i0:i1] = sig.sum(axis=1)
-        sig *= sig
-        pos_slope[i0:i1] = a * (sig @ b)
-    num, denom, w_den, own = np.empty(p), np.empty(p), np.empty(p), np.empty(p)
-
-    def weigh(i0, i1, neg_sig, neg_slope):
-        num[i0:i1] = neg_sig
-        denom[i0:i1] = 1.0 + neg_sig + pos_sig[i0:i1]
-        w_num = 1.0 / (p * denom[i0:i1])
-        w_den[i0:i1] = w_num * (neg_sig / denom[i0:i1])
-        w_neg = w_num - w_den[i0:i1]
-        own[i0:i1] = w_den[i0:i1] * pos_slope[i0:i1] - w_neg * neg_slope
-        return w_neg
-
-    g = np.zeros(s.shape[0])
-    series.sums(s_pos, weigh, True, g[p:])
-    for i0, i1, sig, a, b in _pairwise.sigmoid_rows(s_pos, p, k):
-        sig *= sig
-        g[:p] -= (w_den[i0:i1] * a) @ sig
-    g[:p] *= b
-    g[:p] += own
-    g /= k
-    return float((num / denom).sum() / p), g
-
-
 def smoothed_ap_loss_and_grad(
     batch: SampleBatch, cfg: SmoothedApConfig = SmoothedApConfig()
 ) -> tuple[float, np.ndarray]:
@@ -167,10 +97,8 @@ def smoothed_ap_loss_and_grad(
 
     The hard steps of the pairwise loss are replaced by sigmoids of slope
     scale ``k`` so the objective is differentiable everywhere; the gradient
-    is exact (finite-difference checkable), not error-driven.  The sigmoid
-    block comes from ``_pairwise.sigmoid_rows``, a few rows at a time, or
-    on large batches its negatives' sums from the series kernel
-    ``_pairwise.SigmoidSeries``, so no P x n array is allocated.
+    is exact (finite-difference checkable), not error-driven.  Its sums
+    come from ``_pairwise.sigmoid_sums``, so no P x n array is allocated.
     Ignored samples change no bit of the result.
     """
     pos, neg = partition(batch)

@@ -26,16 +26,10 @@ gradient.  Three routes compute it:
   costs O(n) plus O(k log k) for the k kept negatives, plus the band
   pairs; what each positive adds above its band costs O(p) plus one
   repeat over the kept negatives.  The sigmoid, whose transition has
-  no bounded width, reduces the rows of ``_pairwise.sigmoid_rows`` in
-  ascending positive order, the negatives' gradient one matrix-vector
-  product per chunk of rows; it reads the rows alone, not their
-  separable factors.  On large batches, where ``_pairwise.sigmoid_series``
-  finds it cheaper by its cost model, the negatives' row sums and
-  weighted column sums come instead from the Taylor series over bins of
-  negatives (``_pairwise.SigmoidSeries``, O(M (n + P B)) for B occupied
-  bins and M orders, to within about 1e-16 of a pair), and only the
-  positives' own block comes from ``sigmoid_rows``, for the rank
-  denominators.
+  no bounded width, is one call of ``_pairwise.sigmoid_sums`` in
+  ascending positive order: each chunk of rows gets its sums over the
+  negatives and over the positives, forms its rank denominators and
+  precisions, and returns the weights of the negatives' columns.
 """
 
 from __future__ import annotations
@@ -333,38 +327,20 @@ def _above_band(hi, w, m):
 
 def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
     """``_sorted_band_core``'s results for the sigmoid, from the ascending
-    positives ``s_pos`` and the negatives ``s_neg`` in any order, a chunk of
-    ``_pairwise.sigmoid_rows`` at a time, or with the negatives' sums from
-    ``_pairwise.SigmoidSeries`` where that is cheaper; ``denom`` as there."""
+    positives ``s_pos`` and the negatives ``s_neg`` in any order, by
+    ``_pairwise.sigmoid_sums``; ``denom`` as there."""
     p = s_pos.shape[0]
     contrib, precs = np.empty(p), np.empty(p)
     max_prec = 0.0
-    s = np.concatenate([s_pos, s_neg])
-    bounds = float(s.min()), float(s.max())
-    series = _pairwise.sigmoid_series(s, p, k, bounds)
-    if series is not None:
-        if denom is None:
-            # 1 + the positives' own row sums; the series adds the negatives'.
-            pos_denom = np.empty(p)
-            for i0, i1, sig, _, _ in _pairwise.sigmoid_rows(s_pos, p, k):
-                pos_denom[i0:i1] = 1.0 + sig.sum(axis=1)
 
-        def weigh(i0, i1, num, _):
-            nonlocal max_prec
-            d = pos_denom[i0:i1] + num if denom is None else denom[i0:i1]
-            w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(num, d, interpolated, max_prec)
-            return w
-
-        g = np.empty(s_neg.shape[0])
-        series.sums(s_pos, weigh, False, g)
-        return float(contrib.sum()), contrib, g, precs
-    g = np.zeros(s_neg.shape[0])
-    for i0, i1, sig, _, _ in _pairwise.sigmoid_rows(s, p, k, bounds):
-        num = sig[:, p:].sum(axis=1)
-        d = 1.0 + num + sig[:, :p].sum(axis=1) if denom is None else denom[i0:i1]
+    def weigh(i0, i1, pos, num):
+        nonlocal max_prec
+        d = 1.0 + num + pos if denom is None else denom[i0:i1]
         w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(num, d, interpolated, max_prec)
-        g += w @ sig[:, p:]
-    return float(contrib.sum()), contrib, g, precs
+        return w
+
+    g = _pairwise.sigmoid_sums(np.concatenate([s_pos, s_neg]), p, k, weigh)
+    return float(contrib.sum()), contrib, g[p:], precs
 
 
 def _accelerated_core(
@@ -408,8 +384,8 @@ def grad_accelerated(
     surviving negatives are sorted once; each positive's sums and terms
     are counts outside its transition band plus the band's own terms,
     evaluated a bounded group of positives at a time, tied positives
-    once.  For the sigmoid, a few whole rows at a time (positives in
-    ascending score order) are built, consumed, and dropped.  With
+    once.  For the sigmoid, the sums come from ``_pairwise.sigmoid_sums``,
+    positives in ascending score order.  With
     interpolation off the output matches ``grad_bruteforce`` up to
     rounding; with it on, each row whose precision falls below the running
     maximum is rescaled so recorded precisions never decrease.

@@ -7,7 +7,7 @@ correctness rather than repetition.  ``smoothed_ap_longdouble`` writes
 the smoothed AP objective out densely in long double.
 ``sigmoid_chunk_rows`` instead shrinks the sigmoid block's row chunks, so
 that small batches run through the same chunk loop as large ones,
-``sigmoid_series_path`` records which sigmoid route each call took and
+``sigmoid_series_path`` records which route each sigmoid-sums call took and
 can force the series kernel on any batch within the separable span,
 ``per_pair_sigmoid`` records whether the block took its per-pair form,
 and ``trace_digest`` condenses a whole training trace into one sha256 for
@@ -98,11 +98,12 @@ def sigmoid_chunk_rows(rows, n_valid):
 
 @contextmanager
 def sigmoid_series_path(force=False):
-    """Yield a list that gets, for each call of ``_pairwise.sigmoid_series``,
-    True where the call took the series kernel and False where it left the
-    negatives' sums to the dense rows.  With ``force`` the dispatch rule
-    ``_series_pays`` says yes to every batch, so every batch with both
-    classes within the separable span takes the series kernel."""
+    """Yield a list that gets, for each call of ``_pairwise.sigmoid_sums``
+    (through its one call of ``sigmoid_series``), True where the call took
+    the series route and False where it took the dense rows.  With
+    ``force`` the dispatch rule ``_series_pays`` says yes to every batch,
+    so every batch with both classes within the separable span takes the
+    series route."""
     taken, real = [], _pairwise.sigmoid_series
 
     def spy(*args):
@@ -117,11 +118,11 @@ def sigmoid_series_path(force=False):
 
 def per_pair_sigmoid():
     """A mock of ``_pairwise.step_value`` whose ``called`` says whether
-    ``sigmoid_rows`` took one bounded ``exp`` per pair (past the separable
-    span) instead of the separable factors.  Either route of the sigmoid
-    sums calls it there: past the span the series kernel is never taken,
-    and within it the positives' own block, all that the series leaves to
-    ``sigmoid_rows``, is separable too."""
+    ``_pairwise.sigmoid_sums`` took one bounded ``exp`` per pair (past the
+    separable span) instead of the separable factors.  Only its dense
+    rows past the span call it: the series route is never taken there,
+    and within the span the positives' own block, all that the series
+    leaves to the rows, is separable too."""
     return mock.patch.object(_pairwise, "step_value", wraps=_pairwise.step_value)
 
 

@@ -19,7 +19,12 @@ from ranklosslab._pairwise import (
     rank_counts,
     rank_denominators,
 )
-from helpers import random_batch_arrays
+from helpers import (
+    per_pair_sigmoid,
+    random_batch_arrays,
+    sigmoid_chunk_rows,
+    sigmoid_series_path,
+)
 
 
 class TestPairwiseKernel:
@@ -290,3 +295,93 @@ class TestRankViewOrder:
             s_pos = scores[labels == 1]
             assert sum(np.array_equal(a, s_pos) for a in sorted_arrays) == 2
             sorted_arrays.clear()
+
+
+def _sigmoid_reference(s, p, k):
+    """sigmoid((s_j - s_i)/k) and k sigmoid' in long double, one row per
+    score in ``s[:p]``, one column per score in ``s``, 0 on own columns."""
+    s = s.astype(np.longdouble)
+    z = (s[None, :] - s[:p, None]) / np.longdouble(k)
+    e = np.exp(-np.abs(z))
+    sig, slope = np.where(z >= 0, 1, e) / (1 + e), e / (1 + e) ** 2
+    own = np.eye(p, s.shape[0], dtype=bool)
+    sig[own] = slope[own] = 0
+    return sig, slope
+
+
+def _sigmoid_sums_case(kind):
+    """(s, p) for ``sigmoid_sums``: positives first, then negatives, k = 0.5."""
+    rng = np.random.default_rng(31)
+    p = 1 if kind == "one_positive" else 6
+    s = rng.standard_normal(p + 40) * 2.0
+    if kind == "tied":
+        s = np.round(s) / 2.0
+    elif kind == "offset":
+        s += 1e6
+    elif kind == "past_span":  # (max - min)/k past 350 at k = 0.5
+        s[-1] = 180.0
+    return s, p
+
+
+class TestSigmoidSums:
+    """The one sigmoid kernel, on each route, against long double."""
+
+    K = 0.5
+
+    @staticmethod
+    def sums(s, p, k, slope):
+        """The kernel's columns, the sums each chunk of rows was handed
+        (rescaled by the handed factor), and the chunks' (i0, i1)."""
+        got, chunks = np.zeros((4, p)), []
+
+        def weigh(i0, i1, pos, neg, pos_slope=None, neg_slope=None, a=None):
+            chunks.append((i0, i1))
+            got[:2, i0:i1] = pos, neg
+            if not slope:
+                return 1.0 / (1.0 + pos + neg)
+            got[2:, i0:i1] = a * pos_slope, a * neg_slope
+            return a * (pos / (1.0 + neg) + got[2, i0:i1]), a * (1.0 / (1.0 + neg + pos) + got[3, i0:i1])
+
+        return _pairwise.sigmoid_sums(s, p, k, weigh, slope), got, chunks
+
+    @pytest.mark.parametrize("chunk_rows", [None, 2])
+    @pytest.mark.parametrize("slope", [False, True], ids=["sigmoid", "slope"])
+    @pytest.mark.parametrize("series", [False, True], ids=["dispatched", "series"])
+    @pytest.mark.parametrize("kind", ["spread", "tied", "offset", "one_positive", "past_span"])
+    def test_matches_the_long_double_sums(self, kind, series, slope, chunk_rows):
+        s, p = _sigmoid_sums_case(kind)
+        with sigmoid_chunk_rows(chunk_rows, s.shape[0]), per_pair_sigmoid() as per_pair, \
+                sigmoid_series_path(series) as taken:
+            col, got, chunks = self.sums(s, p, self.K, slope)
+        assert taken == [series and kind != "past_span"]
+        assert per_pair.called == (kind == "past_span")
+        assert [i for c in chunks for i in range(*c)] == list(range(p))
+        sig, dsig = _sigmoid_reference(s, p, self.K)
+        pos, neg = sig[:, :p].sum(axis=1), sig[:, p:].sum(axis=1)
+        ref = [pos, neg]
+        if slope:
+            pos_slope, neg_slope = dsig[:, :p].sum(axis=1), dsig[:, p:].sum(axis=1)
+            ref += [pos_slope, neg_slope]
+            v, w = pos / (1 + neg) + pos_slope, 1 / (1 + neg + pos) + neg_slope
+            ref_col = np.concatenate([-(v @ dsig[:, :p]), w @ dsig[:, p:]])
+        else:
+            ref_col = np.concatenate([np.zeros(p), 1 / (1 + pos + neg) @ sig[:, p:]])
+        for mine, theirs in zip(got, ref):
+            assert np.abs(mine - theirs).max() <= 1e-12 * np.abs(theirs).max() + 1e-300
+        assert np.abs(col - ref_col).max() <= 1e-12 * np.abs(ref_col).max()
+        if not slope:
+            assert (col[:p] == 0.0).all()
+
+    def test_a_series_sums_the_same_on_every_call(self):
+        # The bins outlive each call, so the sums of a second call, and of
+        # the slope after them, hold as the first call's do.
+        rng = np.random.default_rng(37)
+        p, k = 20, 0.5
+        s = rng.standard_normal(p + 5_000)
+        series = _pairwise.SigmoidSeries(s[p:], float(s.min()), k, min(_pairwise._SERIES_ORDERS))
+        sig, dsig = _sigmoid_reference(s, p, k)
+        for slope, ref in ((False, sig), (False, sig), (True, dsig), (False, sig)):
+            out = np.empty(s.shape[0] - p)
+            series.sums(s[:p], lambda i0, i1, *_: np.ones(i1 - i0), slope, out)
+            ref_col = ref[:, p:].sum(axis=0)
+            assert np.abs(out - ref_col).max() <= 1e-12 * np.abs(ref_col).max()

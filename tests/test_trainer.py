@@ -862,6 +862,23 @@ def test_a_smoothed_run_on_the_series_kernel_keeps_its_pinned_bytes():
     assert trace_digest(trace) == "e448a7c5a3e5f6a17efe70d2d0b915af951db0e34cd328335d948391a1bb4a2d"
 
 
+def test_a_sigmoid_error_driven_run_on_the_series_kernel_keeps_its_pinned_bytes():
+    # The sigmoid error-driven update at 50:20,000 from zero weights, every
+    # iteration's sums on the series kernel.  Its rank denominators are
+    # 1 + (negatives' sums) + (positives' own sums) in that order, which
+    # the last two weight vectors feel.  The same digest at one BLAS thread
+    # and at two.
+    synth = SynthConfig(dim=6, positives=50, negatives=20_000, margin=0.2, seed=3)
+    cfg = TrainConfig(
+        record_weights=True, loss_kind="error_driven_ap", step_size=2.0,
+        step_cfg=StepConfig.sigmoid(0.25), max_iters=12,
+    )
+    with sigmoid_series_path() as taken:
+        _, trace = train(LinearModel(np.zeros(synth.dim)), generate(synth), cfg)
+    assert taken == [True] * 12
+    assert trace_digest(trace) == "9ef6b05106f02d632fb54d714ddbc950ff24a9656a21f9f1d4b8c90bca9d5945"
+
+
 @pytest.mark.parametrize(
     "name", ["ed_heaviside_interpolated_per_group", "ed_ramp_per_group_shrinking"]
 )
