@@ -53,15 +53,16 @@ difference instead.
 
 On large batches ``SigmoidSeries`` gives the sums over the negatives
 without the P x n pairs: a Taylor series of the sigmoid about the
-centres of narrow bins of negatives, from each bin's power moments, in
-O(M (n + P B)) for B occupied bins and M orders, with the positives' own
-P x P block left to ``sigmoid_rows`` over the positives alone.  The
-logistic's poles at +-i*pi bound the first term that the series leaves
-out below 1e-16 of a pair (``_series_order``).  ``sigmoid_series``
-dispatches: within the separable span, it takes the series where the
-cost model ``_series_cost``, fitted to both routes' times, puts it below
-0.8 of the dense rows' cost (``_series_pays``), and leaves every other
-batch to the dense rows, so small batches keep their bits.
+centres of narrow bins of the negatives, sorted once so that each bin is
+one run, from each bin's power moments, in O(n log n + M (n + P B)) for
+B occupied bins and M orders, with the positives' own P x P block left
+to ``sigmoid_rows`` over the positives alone.  The logistic's poles at
++-i*pi bound the first term that the series leaves out below 1e-16 of a
+pair (``_series_order``).  ``sigmoid_series`` dispatches: within the
+separable span, it takes the series where the cost model
+``_series_cost`` puts it below 0.8 of the dense rows' cost
+(``_series_pays``), and leaves every other batch to the dense rows, so
+small batches keep their bits.
 """
 
 from __future__ import annotations
@@ -200,13 +201,16 @@ _SERIES_LOWEST_ORDER = min(_SERIES_ORDERS.values())
 def _series_cost(p: int, n: int, bins: int, span_bins: int, order: int) -> float:
     """The modelled time of ``SigmoidSeries`` with the positives' own block
     on one core, in units of one pair of the dense rows: for each negative
-    its binning and, per order, one ``bincount`` and one Horner step; per
-    order, the grid's two sides for each row and occupied bin, the lanes of
-    every bin that the span holds, and a fixed cost of the calls; the
+    its binning and, per order, one moment sum and one Horner step; per
+    order, the grid's two sides for each row and occupied bin, a cost for
+    each bin that the span holds, and a fixed cost of the calls; the
     positives' own block, twice; and a fixed cost, net of the dense rows'.
     Fitted, at a median error of 10%, to both routes' times on one core
     from 10:2,000 to 500:5,000 and 200:50,000, at score spans of 0 to 80 in
-    units of k and at every bin width."""
+    units of k and at every bin width, with a ``bincount`` per order over
+    every bin of the span, which sorted runs do not take: that term now
+    stands for the per-run ``reduceat``, ``repeat`` and coefficient work,
+    on at most as many bins."""
     return (
         (1.7 * order + 2.5) * n
         + 1.6 * (order + 3) * p * bins
@@ -230,48 +234,40 @@ class SigmoidSeries:
     """Sums of sigmoid((s_j - s_i)/k) and of its slope over the negatives
     j, by a Taylor series about the centres of bins of negatives.
 
-    The negatives' scores are binned on a lattice of width 2^-e * k, and
-    each bin keeps the power moments sum_j t_j^m (m <= M, the order of
-    ``_series_order``) of its negatives' offsets t_j = (s_j - centre)/k,
-    one ``bincount`` per order.  For a row i and a bin at y = (centre -
+    The negatives, sorted once by ``_sorted_order``, are binned on a lattice
+    of width 2^-e * k, so that each occupied bin is one run, and each run
+    keeps the power moments sum_j t_j^m (m <= M, the order of
+    ``_series_order``) of its offsets t_j = (s_j - centre)/k, one
+    ``np.add.reduceat`` per order.  For a row i and a bin at y = (centre -
     s_i)/k, sum_j sigmoid(y + t_j) = sum_m c_m(y) sum_j t_j^m, with c_m the
     Taylor coefficients, which ``_series_coefficients`` writes in powers of
     sigmoid(-|y|); so the grid of rows by occupied bins holds only those
     powers, the two sides of y = 0 apart.  Each row's sums are then one
     product of its grid rows with the moments, and each negative's weighted
     column sum is its bin's coefficients (the weights times the grid)
-    evaluated at t_j by Horner's rule.  A call costs O(M (n + p B)) for B
+    evaluated at t_j by Horner's rule, in sorted order, and scattered back
+    through the order once.  A call costs O(n log n + M (n + p B)) for B
     occupied bins, against O(p n) for the dense rows, and the grid goes a
     few rows at a time in one buffer of at most ``_SIGMOID_CHUNK`` entries.
     Scores are finite and within the separable span.
     """
 
-    __slots__ = ("lo", "k", "e", "lanes", "size", "t", "counts", "occupied", "centres")
+    __slots__ = ("lo", "k", "e", "order", "t", "starts", "counts", "centres")
 
     def __init__(self, s_neg: np.ndarray, lo: float, k: float, e: int):
         self.lo, self.k, self.e = lo, k, e
-        x = s_neg - lo
+        self.order, x = _sorted_order(s_neg)  # x is a fresh array, ascending
+        x -= lo
         x /= k
         x *= 2.0**e  # exact; x >= 0, so truncation is the floor
-        lanes = x.astype(np.intp)
-        x -= lanes
+        bins = x.astype(np.intp)
+        x -= bins
         x -= 0.5
         x *= 2.0**-e  # the offsets t, exact given x, |t| <= 2^-(e+1)
         self.t = x
-        # Eight lanes per bin, so that runs of negatives in one bin do not
-        # wait on each other's sums in ``bincount``.
-        lanes <<= 3
-        whole = lanes.shape[0] & ~7
-        lanes[:whole].reshape(-1, 8)[...] |= np.arange(8)
-        lanes[whole:] |= np.arange(lanes.shape[0] - whole)
-        self.lanes, self.size = lanes, (int(lanes.max()) | 7) + 1
-        self.counts = self._bin_sums(None)
-        self.occupied = np.flatnonzero(self.counts)
-        self.centres = (self.occupied + 0.5) * 2.0**-e
-
-    def _bin_sums(self, weights: np.ndarray | None) -> np.ndarray:
-        """Each bin's sum of ``weights`` over its negatives (a count with None)."""
-        return np.bincount(self.lanes, weights, self.size).reshape(-1, 8).sum(axis=1)
+        self.starts = np.flatnonzero(np.diff(bins, prepend=-1))
+        self.counts = np.diff(self.starts, append=bins.shape[0])
+        self.centres = (bins[self.starts] + 0.5) * 2.0**-e
 
     def sums(self, s_rows, weigh, slope: bool, out: np.ndarray) -> None:
         """Write to ``out`` each negative's sum over the rows of w_i
@@ -287,11 +283,11 @@ class SigmoidSeries:
 
     def _moments(self, order: int) -> np.ndarray:
         """mu[m, b] = sum over bin b's negatives of t_j^m, m <= ``order``."""
-        moments = np.empty((order + 1, self.occupied.shape[0]))
-        moments[0] = self.counts[self.occupied]
+        moments = np.empty((order + 1, self.starts.shape[0]))
+        moments[0] = self.counts
         power = self.t.copy()
         for m in range(1, order + 1):
-            moments[m] = self._bin_sums(power)[self.occupied]
+            np.add.reduceat(power, self.starts, out=moments[m])
             if m < order:
                 power *= self.t
         return moments
@@ -327,14 +323,11 @@ class SigmoidSeries:
 
     def _horner(self, coef_b: np.ndarray, out: np.ndarray) -> None:
         """out_j = sum_m coef_b[m, b_j] t_j^m for bin b_j of negative j."""
-        full = np.zeros((coef_b.shape[0], self.counts.shape[0]))
-        full[:, self.occupied] = coef_b
-        bins = self.lanes >> 3
-        full[-1].take(bins, out=out)
-        term = np.empty_like(out)
+        acc = np.repeat(coef_b[-1], self.counts)
         for m in range(coef_b.shape[0] - 2, -1, -1):
-            out *= self.t
-            out += full[m].take(bins, out=term)
+            acc *= self.t
+            acc += np.repeat(coef_b[m], self.counts)
+        out[self.order] = acc
 
 
 def sigmoid_series(
@@ -342,36 +335,28 @@ def sigmoid_series(
 ) -> SigmoidSeries | None:
     """The series kernel for the rows ``s[:p]`` against the negatives
     ``s[p:]``, with ``bounds`` the (min, max) of ``s``, or None where the
-    dense rows (``sigmoid_rows``, with the same bounds) are to be used: past the
-    separable span, or where ``_series_pays`` says that the series costs
-    more.  The rule is asked first for one bin at the lowest order, before
-    the span; then for the widest bins at the lowest order, a cost
-    below every width's; then at the chosen width for as many bins as the
-    span holds, up to n.  Of the widths in ``_SERIES_ORDERS`` it takes the
-    one whose modelled cost for that many bins is least.  The bins the
-    negatives occupy are not counted first: binning them takes more time,
-    where the dense rows are chosen, than the count would change."""
-    n, lowest = s.shape[0] - p, _SERIES_LOWEST_ORDER
-    if not (p and n and _series_pays(p, n, 1, 1, lowest)):
+    dense rows (``sigmoid_rows``, with the same bounds) are to be used: past
+    the separable span, or where ``_series_pays`` says that the series costs
+    more.  The rule is asked first for one bin at the lowest order, a cost
+    below every width's, before the span; then for as many bins as the span
+    holds, up to n, at the width in ``_SERIES_ORDERS`` whose modelled cost
+    for them is least.  The bins the negatives occupy are not counted first:
+    binning them takes more time, where the dense rows are chosen, than the
+    count would change."""
+    n = s.shape[0] - p
+    if not (p and n and _series_pays(p, n, 1, 1, _SERIES_LOWEST_ORDER)):
         return None
     lo, hi = bounds
     span = (hi - lo) / k
     if span > _SEPARABLE_SPAN:
         return None
-    # The widest bins at the lowest order cost less than any width does.
-    span_bins = math.floor(span * 2.0 ** min(_SERIES_ORDERS)) + 1
-    if not _series_pays(p, n, min(n, span_bins), span_bins, lowest):
-        return None
-    best = None
-    for e, order in _SERIES_ORDERS.items():
+
+    def rule(e):  # the rule's inputs at width 2^-e
         span_bins = math.floor(span * 2.0**e) + 1
-        cost = _series_cost(p, n, min(n, span_bins), span_bins, order)
-        if best is None or cost < best[0]:
-            best = cost, e, span_bins
-    _, e, span_bins = best
-    if not _series_pays(p, n, min(n, span_bins), span_bins, _SERIES_ORDERS[e]):
-        return None
-    return SigmoidSeries(s[p:], lo, k, e)
+        return p, n, min(n, span_bins), span_bins, _SERIES_ORDERS[e]
+
+    e = min(_SERIES_ORDERS, key=lambda e: _series_cost(*rule(e)))
+    return SigmoidSeries(s[p:], lo, k, e) if _series_pays(*rule(e)) else None
 
 
 def sigmoid_sums(s: np.ndarray, p: int, k: float, weigh, slope: bool = False) -> np.ndarray:

@@ -283,13 +283,14 @@ def train(
     joint_pos, joint_neg = partition(data)
     rule = _UPDATE_RULES[cfg.loss_kind]
     # Update batches as (rows, pos, neg) with their group ids: the whole
-    # dataset (a slice, so no copy) or one batch per group.
+    # dataset (a slice, so no copy) or one batch per group, split off its labels.
     per_group = cfg.update_scope == "per_group"
     if per_group:
         gids = data.groups()
         if -1 in gids:
             raise ValueError("per-group training refuses group id -1, the whole dataset's mark")
-        batches = [(rows, *partition(data.subset(rows))) for rows in map(data.group_rows, gids)]
+        labelled = [(rows, data.labels[rows]) for rows in map(data.group_rows, gids)]
+        batches = [(rows, np.flatnonzero(y == 1), np.flatnonzero(y == 0)) for rows, y in labelled]
         # Each group's classes as dataset rows, so the erring test gathers no group's scores.
         classes = [(rows[p], rows[n]) for rows, p, n in batches]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))

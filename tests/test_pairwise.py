@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -320,6 +323,10 @@ def _sigmoid_sums_case(kind):
         s += 1e6
     elif kind == "past_span":  # (max - min)/k past 350 at k = 0.5
         s[-1] = 180.0
+    elif kind == "lattice_edges":  # runs of ties on bin edges: (s - min)/k * 2^e is whole
+        s = np.round(s * 2.0) / 8.0
+    elif kind == "packed_fallback":  # within 2^6 ulps of 1e6, so the negatives' sort falls back
+        s = 1e6 + rng.integers(0, 64, p + 40) * np.spacing(1e6)
     return s, p
 
 
@@ -347,7 +354,10 @@ class TestSigmoidSums:
     @pytest.mark.parametrize("chunk_rows", [None, 2])
     @pytest.mark.parametrize("slope", [False, True], ids=["sigmoid", "slope"])
     @pytest.mark.parametrize("series", [False, True], ids=["dispatched", "series"])
-    @pytest.mark.parametrize("kind", ["spread", "tied", "offset", "one_positive", "past_span"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["spread", "tied", "offset", "one_positive", "past_span", "lattice_edges", "packed_fallback"],
+    )
     def test_matches_the_long_double_sums(self, kind, series, slope, chunk_rows):
         s, p = _sigmoid_sums_case(kind)
         with sigmoid_chunk_rows(chunk_rows, s.shape[0]), per_pair_sigmoid() as per_pair, \
@@ -371,6 +381,33 @@ class TestSigmoidSums:
         assert np.abs(col - ref_col).max() <= 1e-12 * np.abs(ref_col).max()
         if not slope:
             assert (col[:p] == 0.0).all()
+
+    def test_the_fallback_case_takes_the_argsort(self, monkeypatch):
+        s, p = _sigmoid_sums_case("packed_fallback")
+        assert TestSortedOrder._fallbacks(monkeypatch, s[p:]) == 1
+
+    def test_the_route_is_the_cheapest_width_where_the_rule_says_so(self):
+        # The series is taken, at the width of least modelled cost, exactly
+        # where that cost is below 0.8 p (p + n), within the separable span.
+        k, routes = 0.5, []
+        for p, n, span in itertools.product(
+            (1, 5, 20, 50, 200),
+            (100, 2_000, 5_000, 50_000),
+            (0.0, 0.3, 1.0, 4.0, 9.9, 10.1, 30.0, 100.0, 170.0, 349.0, 351.0),
+        ):
+            costs = {}
+            for e, order in _pairwise._SERIES_ORDERS.items():
+                span_bins = math.floor(span * 2.0**e) + 1
+                costs[e] = _pairwise._series_cost(p, n, min(n, span_bins), span_bins, order)
+            e = min(costs, key=costs.get)
+            pays = span <= _pairwise._SEPARABLE_SPAN and costs[e] < 0.8 * p * (p + n)
+            s = np.zeros(p + n)
+            s[-1] = span * k
+            series = _pairwise.sigmoid_series(s, p, k, (0.0, span * k))
+            assert (series is not None) == pays, (p, n, span)
+            assert series is None or series.e == e
+            routes.append(pays)
+        assert 20 < sum(routes) < len(routes) - 20
 
     def test_a_series_sums_the_same_on_every_call(self):
         # The bins outlive each call, so the sums of a second call, and of

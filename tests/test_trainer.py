@@ -862,6 +862,23 @@ def test_a_smoothed_run_on_the_series_kernel_keeps_its_pinned_bytes():
     assert trace_digest(trace) == "e448a7c5a3e5f6a17efe70d2d0b915af951db0e34cd328335d948391a1bb4a2d"
 
 
+def test_a_smoothed_run_on_sorted_bin_runs_keeps_its_pinned_bytes():
+    # The plain objective from zero weights at 50:20,000, three iterations
+    # on the series kernel: the first on one bin of tied scores, the next
+    # two on narrow spans, where many negatives share each bin.  The third
+    # weight vector feels the order in which each bin's moments are summed
+    # (another order moves it by 3.8e-17 of its largest entry).  The same
+    # digest at one BLAS thread and at two.
+    synth = SynthConfig(dim=6, positives=50, negatives=20_000, margin=0.2, seed=8)
+    cfg = TrainConfig(
+        record_weights=True, loss_kind="smoothed_ap_gd", step_size=0.5, max_iters=3
+    )
+    with sigmoid_series_path() as taken:
+        _, trace = train(LinearModel(np.zeros(synth.dim)), generate(synth), cfg)
+    assert taken == [True] * 3
+    assert trace_digest(trace) == "3eeb37c2843992778239c9303662cd68a69da9fe6fcb104fea10aed09a6357ee"
+
+
 def test_a_sigmoid_error_driven_run_on_the_series_kernel_keeps_its_pinned_bytes():
     # The sigmoid error-driven update at 50:20,000 from zero weights, every
     # iteration's sums on the series kernel.  Its rank denominators are
