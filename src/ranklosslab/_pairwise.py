@@ -53,16 +53,17 @@ difference instead.
 
 On large batches ``SigmoidSeries`` gives the sums over the negatives
 without the P x n pairs: a Taylor series of the sigmoid about the
-centres of narrow bins of the negatives, sorted once so that each bin is
-one run, from each bin's power moments, in O(n log n + M (n + P B)) for
-B occupied bins and M orders, with the positives' own P x P block left
-to ``sigmoid_rows`` over the positives alone.  The logistic's poles at
-+-i*pi bound the first term that the series leaves out below 1e-16 of a
-pair (``_series_order``).  ``sigmoid_series`` dispatches: within the
-separable span, it takes the series where the cost model
-``_series_cost`` puts it below 0.8 of the dense rows' cost
-(``_series_pays``), and leaves every other batch to the dense rows, so
-small batches keep their bits.
+centres of narrow bins of the negatives, from each bin's power moments,
+in O(n + M (n + P B)) for B occupied bins and M orders, with the
+positives' own P x P block left to ``sigmoid_rows`` over the positives
+alone.  It takes the negatives' scores ascending from the caller, the
+rank view's sort, so that each bin is one run of them and no sort is
+made twice.  The logistic's poles at +-i*pi bound the first term that
+the series leaves out below 1e-16 of a pair (``_series_order``).
+``sigmoid_series`` dispatches: within the separable span, it takes the
+series where the cost model ``_series_cost`` puts it below 0.8 of the
+dense rows' cost (``_series_pays``), and leaves every other batch to the
+dense rows, so small batches keep their bits.
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def _series_cost(p: int, n: int, bins: int, span_bins: int, order: int) -> float
     from 10:2,000 to 500:5,000 and 200:50,000, at score spans of 0 to 80 in
     units of k and at every bin width, with a ``bincount`` per order over
     every bin of the span, which sorted runs do not take: that term now
-    stands for the per-run ``reduceat``, ``repeat`` and coefficient work,
-    on at most as many bins."""
+    stands for the per-run ``reduceat``, gather and coefficient work, on
+    at most as many bins."""
     return (
         (1.7 * order + 2.5) * n
         + 1.6 * (order + 3) * p * bins
@@ -234,8 +235,8 @@ class SigmoidSeries:
     """Sums of sigmoid((s_j - s_i)/k) and of its slope over the negatives
     j, by a Taylor series about the centres of bins of negatives.
 
-    The negatives, sorted once by ``_sorted_order``, are binned on a lattice
-    of width 2^-e * k, so that each occupied bin is one run, and each run
+    The negatives, in ``neg_sorted`` ascending, are binned on a lattice of
+    width 2^-e * k, so that each occupied bin is one run, and each run
     keeps the power moments sum_j t_j^m (m <= M, the order of
     ``_series_order``) of its offsets t_j = (s_j - centre)/k, one
     ``np.add.reduceat`` per order.  For a row i and a bin at y = (centre -
@@ -245,29 +246,40 @@ class SigmoidSeries:
     powers, the two sides of y = 0 apart.  Each row's sums are then one
     product of its grid rows with the moments, and each negative's weighted
     column sum is its bin's coefficients (the weights times the grid)
-    evaluated at t_j by Horner's rule, in sorted order, and scattered back
-    through the order once.  A call costs O(n log n + M (n + p B)) for B
-    occupied bins, against O(p n) for the dense rows, and the grid goes a
-    few rows at a time in one buffer of at most ``_SIGMOID_CHUNK`` entries.
-    Scores are finite and within the separable span.
+    evaluated at t_j by Horner's rule, in the negatives' own order
+    ``s_neg``, binned again there, whose bins find their runs through a
+    table over the bins the span holds (at most 350 * 2^7 + 1).  A call
+    costs O(n + M (n + p B)) for B occupied bins, against O(p n) for the
+    dense rows, and the grid goes a few rows at a time in one buffer of at
+    most ``_SIGMOID_CHUNK`` entries.  Scores are finite, ``lo`` is at most
+    the least of them, and they are within the separable span.
     """
 
-    __slots__ = ("lo", "k", "e", "order", "t", "starts", "counts", "centres")
+    __slots__ = ("lo", "k", "e", "t", "run", "moments", "centres")
 
-    def __init__(self, s_neg: np.ndarray, lo: float, k: float, e: int):
+    def __init__(self, s_neg: np.ndarray, neg_sorted: np.ndarray, lo: float, k: float, e: int):
         self.lo, self.k, self.e = lo, k, e
-        self.order, x = _sorted_order(s_neg)  # x is a fresh array, ascending
-        x -= lo
-        x /= k
-        x *= 2.0**e  # exact; x >= 0, so truncation is the floor
+        bins, t = self._lattice(neg_sorted)
+        starts = np.flatnonzero(np.diff(bins, prepend=-1))
+        self.centres = (bins[starts] + 0.5) * 2.0**-e
+        # Each run's moments mu[m, b] = sum of t_j^m, m <= M.
+        self.moments = np.empty((_SERIES_ORDERS[e] + 1, starts.shape[0]))
+        self.moments[0] = np.diff(starts, append=bins.shape[0])
+        power = np.ones_like(t)
+        for mu in self.moments[1:]:
+            power *= t
+            np.add.reduceat(power, starts, out=mu)
+        table = np.bincount(bins[starts]).cumsum() - 1  # each occupied bin's run
+        del bins, t, power  # one order's arrays at a time
+        bins, self.t = self._lattice(s_neg)
+        self.run = table[bins]
+
+    def _lattice(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bins, t): each score's bin, the floor of its scaled x >= 0, and
+        its offset from the bin's centre in units of k, exact given x."""
+        x = (s - self.lo) / self.k * 2.0**self.e
         bins = x.astype(np.intp)
-        x -= bins
-        x -= 0.5
-        x *= 2.0**-e  # the offsets t, exact given x, |t| <= 2^-(e+1)
-        self.t = x
-        self.starts = np.flatnonzero(np.diff(bins, prepend=-1))
-        self.counts = np.diff(self.starts, append=bins.shape[0])
-        self.centres = (bins[self.starts] + 0.5) * 2.0**-e
+        return bins, (x - bins - 0.5) * 2.0**-self.e
 
     def sums(self, s_rows, weigh, slope: bool, out: np.ndarray) -> None:
         """Write to ``out`` each negative's sum over the rows of w_i
@@ -278,19 +290,14 @@ class SigmoidSeries:
         Each step frees its temporaries before the next allocates its own,
         and the bins stay as they were, so every call sums alike."""
         coef = _series_coefficients(_SERIES_ORDERS[self.e])
-        col = self._grid_sums(coef, self._moments(coef.shape[3] - 1), s_rows, weigh)
-        self._horner(np.einsum("sqm,qsb->mb", coef[int(slope)], col), out)
-
-    def _moments(self, order: int) -> np.ndarray:
-        """mu[m, b] = sum over bin b's negatives of t_j^m, m <= ``order``."""
-        moments = np.empty((order + 1, self.starts.shape[0]))
-        moments[0] = self.counts
-        power = self.t.copy()
-        for m in range(1, order + 1):
-            np.add.reduceat(power, self.starts, out=moments[m])
-            if m < order:
-                power *= self.t
-        return moments
+        col = self._grid_sums(coef, self.moments, s_rows, weigh)
+        # Horner's rule: out_j = sum_m coef_b[m, b_j] t_j^m for run b_j of
+        # negative j; every run is in range, so ``take`` need not check.
+        coef_b = np.einsum("sqm,qsb->mb", coef[int(slope)], col)
+        np.take(coef_b[-1], self.run, out=out, mode="clip")
+        for m in range(coef_b.shape[0] - 2, -1, -1):
+            out *= self.t
+            out += coef_b[m][self.run]
 
     def _grid_sums(self, coef, moments, s_rows, weigh) -> np.ndarray:
         """The grid pass: ``weigh`` gets each chunk of rows' sums, and the
@@ -321,28 +328,22 @@ class SigmoidSeries:
             col += weigh(i0, i1, both[:, 0], both[:, 1]) @ flat
         return col.reshape(planes, 2, nbins)
 
-    def _horner(self, coef_b: np.ndarray, out: np.ndarray) -> None:
-        """out_j = sum_m coef_b[m, b_j] t_j^m for bin b_j of negative j."""
-        acc = np.repeat(coef_b[-1], self.counts)
-        for m in range(coef_b.shape[0] - 2, -1, -1):
-            acc *= self.t
-            acc += np.repeat(coef_b[m], self.counts)
-        out[self.order] = acc
-
 
 def sigmoid_series(
-    s: np.ndarray, p: int, k: float, bounds: tuple[float, float]
+    s: np.ndarray, p: int, k: float, bounds: tuple[float, float], neg_sorted=None
 ) -> SigmoidSeries | None:
     """The series kernel for the rows ``s[:p]`` against the negatives
-    ``s[p:]``, with ``bounds`` the (min, max) of ``s``, or None where the
-    dense rows (``sigmoid_rows``, with the same bounds) are to be used: past
-    the separable span, or where ``_series_pays`` says that the series costs
-    more.  The rule is asked first for one bin at the lowest order, a cost
-    below every width's, before the span; then for as many bins as the span
-    holds, up to n, at the width in ``_SERIES_ORDERS`` whose modelled cost
-    for them is least.  The bins the negatives occupy are not counted first:
-    binning them takes more time, where the dense rows are chosen, than the
-    count would change."""
+    ``s[p:]``, with ``bounds`` the (min, max) of ``s`` and ``neg_sorted``
+    the negatives' scores ascending (sorted here, only for the series, if
+    None), or None where the dense rows (``sigmoid_rows``, with the same
+    bounds) are to be used: past the separable span, or where
+    ``_series_pays`` says that the series costs more.  The rule is asked
+    first for one bin at the lowest order, a cost below every width's,
+    before the span; then for as many bins as the span holds, up to n, at
+    the width in ``_SERIES_ORDERS`` whose modelled cost for them is least.
+    The bins the negatives occupy are not counted first: binning them takes
+    more time, where the dense rows are chosen, than the count would
+    change."""
     n = s.shape[0] - p
     if not (p and n and _series_pays(p, n, 1, 1, _SERIES_LOWEST_ORDER)):
         return None
@@ -356,14 +357,19 @@ def sigmoid_series(
         return p, n, min(n, span_bins), span_bins, _SERIES_ORDERS[e]
 
     e = min(_SERIES_ORDERS, key=lambda e: _series_cost(*rule(e)))
-    return SigmoidSeries(s[p:], lo, k, e) if _series_pays(*rule(e)) else None
+    if not _series_pays(*rule(e)):
+        return None
+    return SigmoidSeries(s[p:], np.sort(s[p:]) if neg_sorted is None else neg_sorted, lo, k, e)
 
 
-def sigmoid_sums(s: np.ndarray, p: int, k: float, weigh, slope: bool = False) -> np.ndarray:
+def sigmoid_sums(
+    s: np.ndarray, p: int, k: float, weigh, slope: bool = False, neg_sorted=None
+) -> np.ndarray:
     """The weighted column sums of the sigmoid block of the rows ``s[:p]``
     against every column of ``s``, 0 on each row's own column, by the
-    route that ``sigmoid_series`` picks.  There is at least one row and
-    at least one negative after the rows.
+    route that ``sigmoid_series`` picks, which reads ``neg_sorted``, the
+    negatives' scores ascending where the caller's rank view holds them.
+    There is at least one row and at least one negative after the rows.
 
     For each chunk of rows in order, ``weigh(i0, i1, pos, neg)`` gets the
     rows' sums of sigmoid((s_j - s_i)/k) over the positives' columns and
@@ -378,7 +384,7 @@ def sigmoid_sums(s: np.ndarray, p: int, k: float, weigh, slope: bool = False) ->
     """
     n = s.shape[0]
     bounds = float(s.min()), float(s.max())
-    series = sigmoid_series(s, p, k, bounds)
+    series = sigmoid_series(s, p, k, bounds, neg_sorted)
     g = np.zeros(n)
     if series is None:
         for i0, i1, sig, a, b in sigmoid_rows(s, p, k, bounds):
@@ -482,18 +488,18 @@ class RankView:
     ``pos_scores`` holds the positives' scores in ``pos`` order and
     ``neg_sorted`` the kept negatives' scores ascending.  With no step or
     the sigmoid, whose step never vanishes, every negative is kept, sorted
-    by ``np.sort``.  For a bounded step (Heaviside or ramp) with ``prune``
-    on, negatives below the step's cut are trivial: their activation
-    against every positive is exactly zero, so they are only counted
-    (``below``), never sorted.  With s_min the lowest positive score, that
-    is s_j - s_min <= -delta for the ramp and s_j - s_min < 0 for the hard
-    step (an exact tie still activates).  The cut compares the pairwise
-    difference against the lowest positive, the same float the step
-    function sees, so pruning never disagrees with an unpruned evaluation
-    by even a rounding error.  Only a bounded step's view holds an order,
-    ``neg_index``: the kept negatives' sample indices in ascending score
-    order, ties in ``neg`` order, from one packed-key sort
-    (``_sorted_order``) whose keys the cut only compresses.
+    by ``np.sort``, which the sigmoid series reads as well.  For a bounded
+    step (Heaviside or ramp) with ``prune`` on, negatives below the step's
+    cut are trivial: their activation against every positive is exactly
+    zero, so they are only counted (``below``), never sorted.  With s_min
+    the lowest positive score, that is s_j - s_min <= -delta for the ramp
+    and s_j - s_min < 0 for the hard step (an exact tie still activates).
+    The cut compares the pairwise difference against the lowest positive,
+    the same float the step function sees, so pruning never disagrees with
+    an unpruned evaluation by even a rounding error.  Only a bounded step's
+    view holds an order, ``neg_index``: the kept negatives' sample indices
+    in ascending score order, ties in ``neg`` order, from one packed-key
+    sort (``_sorted_order``) whose keys the cut only compresses.
     """
 
     __slots__ = ("scores", "pos", "neg", "step", "below", "pos_scores", "neg_sorted", "neg_index")

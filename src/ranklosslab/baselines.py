@@ -51,7 +51,7 @@ class SmoothedApConfig:
 
 
 def _smoothed_core(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: SmoothedApConfig
+    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: SmoothedApConfig, neg_sorted=None
 ) -> tuple[float, np.ndarray]:
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
@@ -76,7 +76,7 @@ def _smoothed_core(
 
     # Only valid scores enter the block, so ignored samples change no bit
     # of the result.
-    g = _pairwise.sigmoid_sums(scores[cols], p, cfg.k, weigh, slope=True)
+    g = _pairwise.sigmoid_sums(scores[cols], p, cfg.k, weigh, True, neg_sorted)
     g[:p] += own
     g /= cfg.k
     value = float((num / denom).sum() / p)

@@ -27,7 +27,8 @@ gradient.  Three routes compute it:
   pairs; what each positive adds above its band costs O(p) plus one
   repeat over the kept negatives.  The sigmoid, whose transition has
   no bounded width, is one call of ``_pairwise.sigmoid_sums`` in
-  ascending positive order: each chunk of rows gets its sums over the
+  ascending positive order, whose series reads the view's sorted
+  negatives: each chunk of rows gets its sums over the
   negatives and over the positives, forms its rank denominators and
   precisions, and returns the weights of the negatives' columns.
 """
@@ -160,51 +161,40 @@ def grad_reference(
 
 
 # Band pairs evaluated together as one row group: each of the group's
-# temporaries takes 64 kB, and a band that fills a group alone is evaluated
-# on its own slice of the sorted scores, with no index arrays.  Over the
-# kernel's calls in the error-driven sweep at 1:1000, bounds of 2^12 and
-# 2^14 were slower.  A group's term indices are offsets on one shared,
-# read-only index ramp.
+# temporaries takes 64 kB.  Over the kernel's calls in the error-driven
+# sweep at 1:1000, bounds of 2^12 and 2^14 were slower.
 _GROUP_PAIRS = 1 << 13
-_RAMP = np.arange(_GROUP_PAIRS)
-_RAMP.flags.writeable = False
 
 
 def _band_groups(t, s, lo, hi, cfg):
-    """Yield (a, b, f, sums, cols) over row groups: rows a..b-1 whose bands
+    """Yield (a, b, f, sums) over row groups: rows a..b-1 whose bands
     [lo_i, hi_i) of the ascending ``t`` hold at most ``_GROUP_PAIRS`` pairs
     together, or one wider band alone.  f = step(t_j - s_i), the floats
     the oracles compute, for each row i and each j in its band, row after
-    row; ``sums`` holds each row's sum of them, and ``cols`` each term's
-    index into t[lo[a]:], or is None for a band alone, whose terms are
-    those of t[lo[a]:hi[a]].  ``f`` is the caller's to overwrite.  Both
-    edges must ascend with the rows."""
+    row: the concatenated windows t[lo_i:hi_i], less s_i.  ``sums`` holds
+    each row's sum of them, by ``sum`` for a band alone and by
+    ``np.add.reduceat`` for a group, whose bits differ.  ``f`` is the
+    caller's to overwrite.  Both edges must ascend with the rows."""
     sizes = hi - lo
     ends = np.add.accumulate(sizes)
     starts = ends - sizes
-    shift = lo - starts
     a = 0
     while a < s.shape[0]:
         b = max(a + 1, int(ends.searchsorted(starts[a] + _GROUP_PAIRS, "right")))
+        f, k = np.empty(ends[b - 1] - starts[a]), 0
+        for l, h, x in zip(lo[a:b].tolist(), hi[a:b].tolist(), s[a:b].tolist()):
+            np.subtract(t[l:h], x, out=f[k : k + h - l])
+            k += h - l
+        _step_array(f, cfg, out=f)
         if b == a + 1:
-            f = np.subtract(t[lo[a] : hi[a]], s[a])
-            _step_array(f, cfg, out=f)
-            yield a, b, f, f.sum(), None
+            sums = f.sum()
         else:
-            n = sizes[a:b]
-            # Row i's terms sit at t[lo[a]:][k - starts[a] + shift[i]] for k
-            # running over starts[i]..ends[i] - 1.
-            cols = np.repeat(shift[a:b] - shift[a], n)
-            cols += _RAMP[: ends[b - 1] - starts[a]]
-            f = t[lo[a] :][cols]
-            f -= np.repeat(s[a:b], n)
-            _step_array(f, cfg, out=f)
             # np.add.reduceat reads an empty band as the next band's first
             # term, so only the rows with a term are reduced.
-            some = n > 0
+            some = sizes[a:b] > 0
             sums = np.zeros(b - a)
             sums[some] = np.add.reduceat(f, starts[a:b][some] - starts[a])
-            yield a, b, f, sums, cols
+        yield a, b, f, sums
         a = b
 
 
@@ -234,12 +224,13 @@ def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
     below and exactly 1 above, so it is only counted, and the band terms
     are evaluated on the actual differences, a row group at a time
     (``_band_groups``): one step evaluation, one reduction to row sums,
-    one precision update and one scatter into the negatives' gradient per
-    group.  Tied positives have the same band and the same terms, so each
-    distinct score is one row, and the scatter takes the sum of its tied
-    positives' weights.  ``denom``, in ``s_pos`` order and equal for tied
-    positives, replaces the soft rank denominators 1 + sum_{k != i}
-    step(s_k - s_i), and then the positives' own band pass is skipped.
+    one precision update and one add into the negatives' gradient per
+    group, of its rows' weighted terms summed over the group's span.  Tied
+    positives have the same band and the same terms, so each distinct
+    score is one row, whose weight is the sum of its tied positives'.
+    ``denom``, in ``s_pos`` order and equal for tied positives, replaces
+    the soft rank denominators 1 + sum_{k != i} step(s_k - s_i), and then
+    the positives' own band pass is skipped.
     Returns the loss, the per-positive contributions, the negatives'
     gradient in ``t`` order and the precisions, all unnormalized.
     """
@@ -265,7 +256,7 @@ def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
         # its band with the term step(0).
         lo, hi = s_pos.searchsorted(below, "left"), s_pos.searchsorted(above, "right")
         others = np.subtract(p - step_value(0.0, cfg), hi)
-        for a, b, _, sums, _ in _band_groups(s_pos, s, lo, hi, cfg):
+        for a, b, _, sums in _band_groups(s_pos, s, lo, hi, cfg):
             others[a:b] += sums
     elif counts is not None:
         denom = denom[runs]
@@ -276,7 +267,7 @@ def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
     w, contrib, precs = np.empty(s.shape[0]), np.empty(s.shape[0]), np.empty(s.shape[0])
     g = np.zeros(m)
     max_prec = 0.0
-    for a, b, f, sums, cols in _band_groups(t, s, lo, hi, cfg):
+    for a, b, f, sums in _band_groups(t, s, lo, hi, cfg):
         num[a:b] += sums
         d = 1.0 + others[a:b] + num[a:b] if denom is None else denom[a:b]
         w[a:b], contrib[a:b], precs[a:b], max_prec = _precisions(
@@ -288,12 +279,18 @@ def _sorted_band_core(s_pos, t, cfg, interpolated, denom=None):
             # one at a time, as a scatter of each positive's row would.
             run = np.repeat(np.arange(b - a), counts[a:b])
             weight = np.bincount(run, weights=weight[run])
-        if cols is None:
+        if b == a + 1:
             f *= weight[0]
             g[lo[a] : hi[a]] += f
         else:
+            # Each row's weighted terms onto a zeroed span in row order: the
+            # sums a bincount of the group's terms over their negatives gives.
             f *= np.repeat(weight, hi[a:b] - lo[a:b])
-            g[lo[a] : hi[b - 1]] += np.bincount(cols, weights=f, minlength=hi[b - 1] - lo[a])
+            span, k = np.zeros(hi[b - 1] - lo[a]), 0
+            for l, h in zip((lo[a:b] - lo[a]).tolist(), (hi[a:b] - lo[a]).tolist()):
+                span[l:h] += f[k : k + h - l]
+                k += h - l
+            g[lo[a] : hi[b - 1]] += span
     if counts is not None:
         w, contrib, precs, hi = (np.repeat(x, counts) for x in (w, contrib, precs, hi))
     # Above its band each positive adds w_i to every negative; below the
@@ -325,10 +322,11 @@ def _above_band(hi, w, m):
     return np.repeat(prefix, gaps)
 
 
-def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
+def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None, neg_sorted=None):
     """``_sorted_band_core``'s results for the sigmoid, from the ascending
     positives ``s_pos`` and the negatives ``s_neg`` in any order, by
-    ``_pairwise.sigmoid_sums``; ``denom`` as there."""
+    ``_pairwise.sigmoid_sums``, with ``neg_sorted`` the negatives' scores
+    ascending where the caller holds them; ``denom`` as there."""
     p = s_pos.shape[0]
     contrib, precs = np.empty(p), np.empty(p)
     max_prec = 0.0
@@ -339,7 +337,7 @@ def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None):
         w, contrib[i0:i1], precs[i0:i1], max_prec = _precisions(num, d, interpolated, max_prec)
         return w
 
-    g = _pairwise.sigmoid_sums(np.concatenate([s_pos, s_neg]), p, k, weigh)
+    g = _pairwise.sigmoid_sums(np.concatenate([s_pos, s_neg]), p, k, weigh, False, neg_sorted)
     return float(contrib.sum()), contrib, g[p:], precs
 
 
@@ -359,7 +357,7 @@ def _accelerated_core(
         denom = denom[order]
     if cfg.kind == SIGMOID_KIND:
         loss, contrib, grad[neg], precs = _sigmoid_core(
-            s_pos, view.scores[neg], cfg.k, opts.interpolated, denom
+            s_pos, view.scores[neg], cfg.k, opts.interpolated, denom, view.neg_sorted
         )
     else:
         loss, contrib, neg_grad, precs = _sorted_band_core(

@@ -10,10 +10,11 @@ offsets along a second direction orthogonal to ``u`` inject the
 score-shift scenario without breaking joint separability.
 
 All randomness flows through numpy's PCG64 generator seeded from the
-config, so a (config, seed) pair reproduces the dataset bit for bit at a
-given BLAS thread count.  Another thread count can change the bytes once
-a group has tens of thousands of rows: a threaded BLAS splits the
-projection ``group @ u`` between threads, and the split changes rounding.
+config, so a (config, seed) pair reproduces the dataset bit for bit, at
+any BLAS thread count: each block's projection ``block @ u`` is small
+enough that OpenBLAS computes it on one thread, where a whole group's
+product of tens of thousands of rows is split between threads, and the
+split changes rounding.
 """
 
 from __future__ import annotations
@@ -60,8 +61,12 @@ class SynthConfig:
             raise ValueError("noise_sigma must be non-negative")
 
 
-# Rows per step of the in-place projection, centring and shift.
-_ROWS = 2048
+# Entries per step of the in-place projection, centring and shift, at most,
+# so that OpenBLAS projects each block on one thread (OpenBLAS 0.3.31 on
+# x86-64 split a matrix-vector product between threads past about 65,000
+# entries).  The rows, a power of two, at least 4, keep the bits of the
+# whole product, whose kernel takes 4 rows at a time.
+_BLOCK = 1 << 15
 
 
 def _split_counts(total: int, groups: int) -> list[int]:
@@ -99,7 +104,7 @@ def generate(cfg: SynthConfig) -> RankingDataset:
     # The row patterns u and (margin/2) u, repeated over one block's rows
     # (the largest group's, if smaller), so that every block update below
     # runs over one contiguous run of the flattened rows.
-    rows = min(_ROWS, pos_counts[0] + neg_counts[0])
+    rows = min(1 << max(2, (_BLOCK // cfg.dim).bit_length() - 1), pos_counts[0] + neg_counts[0])
     u_rows, half_rows = np.tile(u, rows), np.tile((cfg.margin / 2.0) * u, rows)
     proj = np.empty(rows * cfg.dim)
     start = 0
@@ -108,17 +113,14 @@ def generate(cfg: SynthConfig) -> RankingDataset:
         group = features[start:stop]
         rng.standard_normal(out=group)
         group *= cfg.noise_sigma
-        # One product over the whole group, as its bits can depend on the
-        # row count under a threaded BLAS; the rest runs a few rows at a
-        # time, in cache, with no (n_g, dim) temporary.
-        along_u = group @ u if separable else None
+        # A few rows at a time, in cache, with no (n_g, dim) temporary.
         shift_rows = np.tile((cfg.score_shift * g) * v, rows)
         flat = group.reshape(-1)
-        for r0 in range(0, stop - start, _ROWS):
-            block = flat[r0 * cfg.dim : (r0 + _ROWS) * cfg.dim]
+        for r0 in range(0, stop - start, rows):
+            block = flat[r0 * cfg.dim : (r0 + rows) * cfg.dim]
             m = block.shape[0]
             if separable:
-                np.multiply(np.repeat(along_u[r0 : r0 + _ROWS], cfg.dim), u_rows[:m], out=proj[:m])
+                np.multiply(np.repeat(group[r0 : r0 + rows] @ u, cfg.dim), u_rows[:m], out=proj[:m])
                 block -= proj[:m]
             # The negatives' x - (margin/2) u_d is x + (-margin/2) u_d exactly.
             k = min(max(n_pos - r0, 0) * cfg.dim, m)

@@ -196,11 +196,13 @@ def _error_driven_rule(view: RankView, cfg: TrainConfig):
 
 
 # The update rule of each loss kind, on a batch's rank view built for
-# ``cfg.step_cfg`` (a counting view for the smoothed rule, which runs no
-# kernel): (view, cfg) -> (surrogate, score gradient, pruned negatives).
+# ``cfg.step_cfg`` (no step for the smoothed rule, whose series reads the
+# sorted negatives): (view, cfg) -> (surrogate, score gradient, pruned).
 _UPDATE_RULES = {
     "error_driven_ap": _error_driven_rule,
-    "smoothed_ap_gd": lambda v, cfg: (*_smoothed_core(v.scores, v.pos, v.neg, cfg.smoothed), 0),
+    "smoothed_ap_gd": lambda v, cfg: (
+        *_smoothed_core(v.scores, v.pos, v.neg, cfg.smoothed, v.neg_sorted), 0
+    ),
     "auc": lambda v, cfg: _auc_core(v),
     "inseparable_ap": lambda v, cfg: _inseparable_grad(v),
 }
@@ -297,7 +299,7 @@ def train(
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
-    # The smoothed rule runs no kernel, so its view only counts.
+    # The smoothed rule runs no band kernel, so its view needs no step.
     step = None if cfg.loss_kind == "smoothed_ap_gd" else cfg.step_cfg
     prune = cfg.grad_opts.prune_trivial_negatives
 

@@ -10,7 +10,8 @@ that small batches run through the same chunk loop as large ones,
 ``sigmoid_series_path`` records which route each sigmoid-sums call took and
 can force the series kernel on any batch within the separable span,
 ``per_pair_sigmoid`` records whether the block took its per-pair form,
-and ``trace_digest`` condenses a whole training trace into one sha256 for
+``count_calls`` counts the calls of any module's function, and
+``trace_digest`` condenses a whole training trace into one sha256 for
 tests that pin its bytes.
 """
 
@@ -124,6 +125,13 @@ def per_pair_sigmoid():
     and within the span the positives' own block, all that the series
     leaves to the rows, is separable too."""
     return mock.patch.object(_pairwise, "step_value", wraps=_pairwise.step_value)
+
+
+def count_calls(module, name):
+    """Patch ``module.name`` with a mock that wraps it, so that the mock's
+    ``call_count``, once the block is entered, counts its calls, made
+    through the module's attribute as the library makes them."""
+    return mock.patch.object(module, name, wraps=getattr(module, name))
 
 
 def smoothed_ap_longdouble(batch, cfg):

@@ -23,6 +23,7 @@ from ranklosslab._pairwise import (
     rank_denominators,
 )
 from helpers import (
+    count_calls,
     per_pair_sigmoid,
     random_batch_arrays,
     sigmoid_chunk_rows,
@@ -386,6 +387,16 @@ class TestSigmoidSums:
         s, p = _sigmoid_sums_case("packed_fallback")
         assert TestSortedOrder._fallbacks(monkeypatch, s[p:]) == 1
 
+    def test_the_series_takes_no_argsort_on_the_fallback_case(self):
+        # The series bins sorted scores, which ``np.sort`` gives with no
+        # fallback, so the negatives that make the packed-key order fall
+        # back to the stable ``np.argsort`` cost the series no argsort.
+        s, p = _sigmoid_sums_case("packed_fallback")
+        with sigmoid_series_path(force=True) as taken, count_calls(np, "argsort") as argsort:
+            self.sums(s, p, self.K, False)
+        assert taken == [True]
+        assert argsort.call_count == 0
+
     def test_the_route_is_the_cheapest_width_where_the_rule_says_so(self):
         # The series is taken, at the width of least modelled cost, exactly
         # where that cost is below 0.8 p (p + n), within the separable span.
@@ -415,7 +426,9 @@ class TestSigmoidSums:
         rng = np.random.default_rng(37)
         p, k = 20, 0.5
         s = rng.standard_normal(p + 5_000)
-        series = _pairwise.SigmoidSeries(s[p:], float(s.min()), k, min(_pairwise._SERIES_ORDERS))
+        series = _pairwise.SigmoidSeries(
+            s[p:], np.sort(s[p:]), float(s.min()), k, min(_pairwise._SERIES_ORDERS)
+        )
         sig, dsig = _sigmoid_reference(s, p, k)
         for slope, ref in ((False, sig), (False, sig), (True, dsig), (False, sig)):
             out = np.empty(s.shape[0] - p)

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ranklosslab
 from ranklosslab import (
     LinearModel,
     SampleBatch,
@@ -130,6 +135,29 @@ def test_generate_keeps_its_pinned_bytes(name):
     arrays = (data.features, data.labels, data.group_ids, data.separator)
     got = [None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
     assert got == digests
+
+
+def test_generate_keeps_its_bytes_at_another_blas_thread_count():
+    # At 50:50,000 OpenBLAS splits a whole group's projection between two
+    # threads, which changes its rounding; a block's projection it does not.
+    code = (
+        "import hashlib; from ranklosslab import SynthConfig, generate; "
+        "data = generate(SynthConfig(positives=50, negatives=50_000)); "
+        "print(hashlib.sha256(data.features.tobytes()).hexdigest())"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": str(Path(ranklosslab.__file__).parents[1]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestSeparability:

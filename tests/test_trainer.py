@@ -32,7 +32,7 @@ from ranklosslab import trainer as trainer_module
 from ranklosslab import _pairwise, gradients
 from ranklosslab._pairwise import RankView
 from ranklosslab.trainer import LOSS_KINDS, _UPDATE_RULES
-from helpers import random_batch_arrays, sigmoid_series_path, trace_digest
+from helpers import count_calls, random_batch_arrays, sigmoid_series_path, trace_digest
 
 
 class TestScoreDataset:
@@ -897,6 +897,29 @@ def test_a_sigmoid_error_driven_run_on_the_series_kernel_keeps_its_pinned_bytes(
 
 
 @pytest.mark.parametrize(
+    "kind, step, sorts",
+    [
+        ("smoothed_ap_gd", StepConfig.heaviside(), 0),
+        ("error_driven_ap", StepConfig.sigmoid(0.25), 1),
+    ],
+    ids=["smoothed", "ed_sigmoid"],
+)
+def test_a_series_iteration_orders_only_the_positives_its_kernel_walks(kind, step, sorts):
+    # At 50:20,000 both sigmoid rules take the series on every iteration,
+    # and the series bins the negatives the iteration's view has sorted:
+    # the sigmoid error-driven kernel orders its positives and the smoothed
+    # rule nothing.
+    synth = SynthConfig(dim=6, positives=50, negatives=20_000, margin=0.2, seed=8)
+    cfg = TrainConfig(
+        loss_kind=kind, step_cfg=step, step_size=0.5, max_iters=4, stop_at_zero_loss=False
+    )
+    with sigmoid_series_path() as taken, count_calls(_pairwise, "_sorted_order") as order:
+        train(LinearModel(np.zeros(synth.dim)), generate(synth), cfg)
+    assert taken == [True] * 4
+    assert order.call_count == sorts * 4
+
+
+@pytest.mark.parametrize(
     "name", ["ed_heaviside_interpolated_per_group", "ed_ramp_per_group_shrinking"]
 )
 def test_per_group_traces_draw_from_a_shrunk_erring_list(name):
@@ -924,7 +947,7 @@ def test_wide_band_traces_fill_several_row_groups(monkeypatch, name):
     def groups_spy(t, s, lo, hi, cfg):
         groups = list(band_groups(t, s, lo, hi, cfg))
         if t is negatives[-1]:
-            calls.append((int((hi - lo).sum()), [g[4] is None for g in groups]))
+            calls.append((int((hi - lo).sum()), [b - a == 1 for a, b, *_ in groups]))
         yield from groups
 
     def core_spy(s_pos, t, *args):
