@@ -37,33 +37,35 @@ through the order itself.  Tied scores are interchangeable in every one
 of these, so any sort order of them gives the same bits.
 
 The sigmoid has no bounded support.  The smoothed baseline and the
-sigmoid error-driven gradient each make one call of ``sigmoid_sums``,
-which hands each chunk of rows its sums over the positives' and the
-negatives' columns, takes the rows' weights back from the caller, and
-returns the weighted column sums, by one of two routes.  The dense rows,
-``sigmoid_rows``, build the rows whole from separable exponentials,
-exp((s_i - s_j)/k) = a_i * b_j with a_i = exp((s_i - c)/k), b_j =
-exp(-(s_j - c)/k) and c the scores' mid-range, so the block costs P + n
-``exp`` calls, a few rows at a time in one buffer that stays in cache.  The
-factors come with the rows, so the derivative k * sigmoid' = a_i *
-sig^2 * b_j needs no block of its own, and b_j multiplies the column sums
-once per call.  Past a score span (max - min)/k of 350, where the squared
+sigmoid error-driven gradient each make one call of ``sigmoid_sums`` on
+a rank view built with no step or the sigmoid, so that every negative is
+in its sort.  The call hands each chunk of rows its sums over the
+positives' and the negatives' columns, takes the rows' weights back from
+the caller, and returns the weighted column sums, by one of two routes.
+The dense rows, ``sigmoid_rows``, build the rows whole from separable
+exponentials, exp((s_i - s_j)/k) = a_i * b_j with a_i = exp((s_i -
+c)/k), b_j = exp(-(s_j - c)/k) and c the scores' mid-range, so the
+block costs P + n ``exp`` calls, a few rows at a time in one buffer that
+stays in cache.  The factors come with the rows, so the derivative k *
+sigmoid' = a_i * sig^2 * b_j needs no block of its own, and b_j
+multiplies the column sums once per call.  Past a score span (max - min)/k of 350, where the squared
 rows could underflow, each pair takes one bounded ``exp`` of its own
 difference instead.
 
-On large batches ``SigmoidSeries`` gives the sums over the negatives
+On large batches ``_series_sums`` gives the sums over the negatives
 without the P x n pairs: a Taylor series of the sigmoid about the
 centres of narrow bins of the negatives, from each bin's power moments,
 in O(n + M (n + P B)) for B occupied bins and M orders, with the
 positives' own P x P block left to ``sigmoid_rows`` over the positives
-alone.  It takes the negatives' scores ascending from the caller, the
-rank view's sort, so that each bin is one run of them and no sort is
-made twice.  The logistic's poles at +-i*pi bound the first term that
-the series leaves out below 1e-16 of a pair (``_series_order``).
-``sigmoid_series`` dispatches: within the separable span, it takes the
-series where the cost model ``_series_cost`` puts it below 0.8 of the
-dense rows' cost (``_series_pays``), and leaves every other batch to the
-dense rows, so small batches keep their bits.
+alone.  It is one function call that keeps nothing between calls, and it
+bins the negatives' scores ascending as the caller's rank view sorted
+them, so that each bin is one run of them and nothing is sorted here.
+The logistic's poles at +-i*pi bound the first term that the series
+leaves out below 1e-16 of a pair (``_series_order``).
+``sigmoid_series`` dispatches: within the separable span, it picks the
+series' bin width where the cost model ``_series_cost`` puts the series
+below 0.8 of the dense rows' cost (``_series_pays``), and leaves every
+other batch to the dense rows, so small batches keep their bits.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ _SERIES_LOWEST_ORDER = min(_SERIES_ORDERS.values())
 
 
 def _series_cost(p: int, n: int, bins: int, span_bins: int, order: int) -> float:
-    """The modelled time of ``SigmoidSeries`` with the positives' own block
+    """The modelled time of ``_series_sums`` with the positives' own block
     on one core, in units of one pair of the dense rows: for each negative
     its binning and, per order, one moment sum and one Horner step; per
     order, the grid's two sides for each row and occupied bin, a cost for
@@ -223,7 +225,7 @@ def _series_cost(p: int, n: int, bins: int, span_bins: int, order: int) -> float
 
 
 def _series_pays(p: int, n: int, bins: int, span_bins: int, order: int) -> bool:
-    """The dispatch rule: whether ``SigmoidSeries`` costs less than 0.8 of
+    """The dispatch rule: whether ``_series_sums`` costs less than 0.8 of
     the dense rows' p (p + n) pairs, for p rows, n negatives in ``bins``
     bins of the ``span_bins`` that the score span holds, and ``order``.
     Nearer the crossover the model's errors (10% at the median) can cost
@@ -231,112 +233,100 @@ def _series_pays(p: int, n: int, bins: int, span_bins: int, order: int) -> bool:
     return _series_cost(p, n, bins, span_bins, order) < 0.8 * p * (p + n)
 
 
-class SigmoidSeries:
-    """Sums of sigmoid((s_j - s_i)/k) and of its slope over the negatives
-    j, by a Taylor series about the centres of bins of negatives.
+def _lattice(s: np.ndarray, lo: float, k: float, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bins, t): each score's bin on the lattice of width 2^-e * k from
+    ``lo``, the floor of its scaled x >= 0, and its offset from the bin's
+    centre in units of k, exact given x."""
+    x = (s - lo) / k * 2.0**e
+    bins = x.astype(np.intp)
+    return bins, (x - bins - 0.5) * 2.0**-e
 
-    The negatives, in ``neg_sorted`` ascending, are binned on a lattice of
-    width 2^-e * k, so that each occupied bin is one run, and each run
-    keeps the power moments sum_j t_j^m (m <= M, the order of
-    ``_series_order``) of its offsets t_j = (s_j - centre)/k, one
-    ``np.add.reduceat`` per order.  For a row i and a bin at y = (centre -
-    s_i)/k, sum_j sigmoid(y + t_j) = sum_m c_m(y) sum_j t_j^m, with c_m the
-    Taylor coefficients, which ``_series_coefficients`` writes in powers of
-    sigmoid(-|y|); so the grid of rows by occupied bins holds only those
-    powers, the two sides of y = 0 apart.  Each row's sums are then one
-    product of its grid rows with the moments, and each negative's weighted
-    column sum is its bin's coefficients (the weights times the grid)
-    evaluated at t_j by Horner's rule, in the negatives' own order
-    ``s_neg``, binned again there, whose bins find their runs through a
-    table over the bins the span holds (at most 350 * 2^7 + 1).  A call
-    costs O(n + M (n + p B)) for B occupied bins, against O(p n) for the
-    dense rows, and the grid goes a few rows at a time in one buffer of at
-    most ``_SIGMOID_CHUNK`` entries.  Scores are finite, ``lo`` is at most
-    the least of them, and they are within the separable span.
+
+def _series_sums(s_rows, s_neg, neg_sorted, lo, k, e, weigh, slope, out) -> None:
+    """Write to ``out`` each negative's sum over the rows ``s_rows`` of
+    w_i sigmoid((s_j - s_i)/k), or of w_i k sigmoid' with ``slope``, for
+    the negatives ``s_neg`` in ``out``'s order, ``neg_sorted`` ascending.
+
+    The negatives are binned 2^-e * k wide (``_lattice``), so that each
+    occupied bin is one run of ``neg_sorted``, which keeps the power
+    moments sum_j t_j^m (m <= M, ``_series_order``) of its offsets t_j =
+    (s_j - centre)/k, one ``np.add.reduceat`` per order.  For a row i and
+    a bin at y = (centre - s_i)/k, sum_j sigmoid(y + t_j) = sum_m c_m(y)
+    sum_j t_j^m, with c_m the Taylor coefficients; ``_grid_sums`` hands
+    each chunk of rows to ``weigh(i0, i1, sig, dsig)``, with its sums over
+    the negatives of sigmoid((s_j - s_i)/k) and of k sigmoid', and takes
+    the chunk's weights w_i back.  Each negative's column sum is then its
+    bin's weighted coefficients evaluated at t_j by Horner's rule, in
+    ``s_neg``'s order, whose bins find their runs through a table over the
+    bins the span holds (at most 350 * 2^7 + 1).  A call costs O(n + M (n
+    + p B)) for B occupied bins, against O(p n) for the dense rows.
+    Scores are finite, ``lo`` is at most the least of them, and they are
+    within the separable span.
     """
-
-    __slots__ = ("lo", "k", "e", "t", "run", "moments", "centres")
-
-    def __init__(self, s_neg: np.ndarray, neg_sorted: np.ndarray, lo: float, k: float, e: int):
-        self.lo, self.k, self.e = lo, k, e
-        bins, t = self._lattice(neg_sorted)
-        starts = np.flatnonzero(np.diff(bins, prepend=-1))
-        self.centres = (bins[starts] + 0.5) * 2.0**-e
-        # Each run's moments mu[m, b] = sum of t_j^m, m <= M.
-        self.moments = np.empty((_SERIES_ORDERS[e] + 1, starts.shape[0]))
-        self.moments[0] = np.diff(starts, append=bins.shape[0])
-        power = np.ones_like(t)
-        for mu in self.moments[1:]:
-            power *= t
-            np.add.reduceat(power, starts, out=mu)
-        table = np.bincount(bins[starts]).cumsum() - 1  # each occupied bin's run
-        del bins, t, power  # one order's arrays at a time
-        bins, self.t = self._lattice(s_neg)
-        self.run = table[bins]
-
-    def _lattice(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bins, t): each score's bin, the floor of its scaled x >= 0, and
-        its offset from the bin's centre in units of k, exact given x."""
-        x = (s - self.lo) / self.k * 2.0**self.e
-        bins = x.astype(np.intp)
-        return bins, (x - bins - 0.5) * 2.0**-self.e
-
-    def sums(self, s_rows, weigh, slope: bool, out: np.ndarray) -> None:
-        """Write to ``out`` each negative's sum over the rows of w_i
-        sigmoid((s_j - s_i)/k), or of w_i k sigmoid' with ``slope``.  The
-        rows go in chunks in order, and for each chunk ``weigh(i0, i1, sig,
-        dsig)`` gets the chunk's sums over the negatives of sigmoid((s_j -
-        s_i)/k) and of k sigmoid', and returns the chunk's weights w_i.
-        Each step frees its temporaries before the next allocates its own,
-        and the bins stay as they were, so every call sums alike."""
-        coef = _series_coefficients(_SERIES_ORDERS[self.e])
-        col = self._grid_sums(coef, self.moments, s_rows, weigh)
-        # Horner's rule: out_j = sum_m coef_b[m, b_j] t_j^m for run b_j of
-        # negative j; every run is in range, so ``take`` need not check.
-        coef_b = np.einsum("sqm,qsb->mb", coef[int(slope)], col)
-        np.take(coef_b[-1], self.run, out=out, mode="clip")
-        for m in range(coef_b.shape[0] - 2, -1, -1):
-            out *= self.t
-            out += coef_b[m][self.run]
-
-    def _grid_sums(self, coef, moments, s_rows, weigh) -> np.ndarray:
-        """The grid pass: ``weigh`` gets each chunk of rows' sums, and the
-        result is the weighted column sums of the grid, u[q, side, b]."""
-        planes, nbins, p = coef.shape[2], moments.shape[1], s_rows.shape[0]
-        # The row sums' moments nu[q, side, b, d] = sum_m C[d, side, q, m] mu_m(b).
-        nu = np.einsum("dsqm,mb->qsbd", coef, moments).reshape(planes, 2 * nbins, 2)
-        x_rows = (s_rows - self.lo) / self.k
-        rows = min(p, max(1, _SIGMOID_CHUNK // (2 * planes * nbins)))
-        grid = np.empty((planes, rows, 2, nbins))
-        col = np.zeros((planes, 2 * nbins))
-        for i0 in range(0, p, rows):
-            i1 = min(i0 + rows, p)
-            g = grid[:, : i1 - i0]
-            y = np.subtract(self.centres, x_rows[i0:i1, None])
-            g[0, :, 1] = y > 0.0
-            np.subtract(1.0, g[0, :, 1], out=g[0, :, 0])
-            np.abs(y, out=y)
-            np.negative(y, out=y)
-            np.exp(y, out=y)
-            np.divide(y, y + 1.0, out=y)  # sigmoid(-|y|)
-            np.multiply(y, g[0, :, 0], out=g[1, :, 0])
-            np.subtract(y, g[1, :, 0], out=g[1, :, 1])
-            for q in range(2, planes):
-                np.multiply(g[q - 1], g[1], out=g[q])
-            flat = g.reshape(planes, i1 - i0, 2 * nbins)
-            both = np.matmul(flat, nu).sum(axis=0)
-            col += weigh(i0, i1, both[:, 0], both[:, 1]) @ flat
-        return col.reshape(planes, 2, nbins)
+    bins, t = _lattice(neg_sorted, lo, k, e)
+    starts = np.flatnonzero(np.diff(bins, prepend=-1))
+    centres = (bins[starts] + 0.5) * 2.0**-e
+    # Each run's moments mu[m, b] = sum of t_j^m, m <= M.
+    moments = np.empty((_SERIES_ORDERS[e] + 1, starts.shape[0]))
+    moments[0] = np.diff(starts, append=bins.shape[0])
+    power = np.ones_like(t)
+    for mu in moments[1:]:
+        power *= t
+        np.add.reduceat(power, starts, out=mu)
+    table = np.bincount(bins[starts]).cumsum() - 1  # each occupied bin's run
+    del bins, t, power  # one order's arrays at a time
+    coef = _series_coefficients(_SERIES_ORDERS[e])
+    col = _grid_sums(coef, moments, centres, (s_rows - lo) / k, weigh)
+    bins, t = _lattice(s_neg, lo, k, e)
+    run = table[bins]
+    # Horner's rule: out_j = sum_m coef_b[m, b_j] t_j^m for run b_j of
+    # negative j; every run is in range, so ``take`` need not check.
+    coef_b = np.einsum("sqm,qsb->mb", coef[int(slope)], col)
+    np.take(coef_b[-1], run, out=out, mode="clip")
+    for m in range(coef_b.shape[0] - 2, -1, -1):
+        out *= t
+        out += coef_b[m][run]
 
 
-def sigmoid_series(
-    s: np.ndarray, p: int, k: float, bounds: tuple[float, float], neg_sorted=None
-) -> SigmoidSeries | None:
-    """The series kernel for the rows ``s[:p]`` against the negatives
-    ``s[p:]``, with ``bounds`` the (min, max) of ``s`` and ``neg_sorted``
-    the negatives' scores ascending (sorted here, only for the series, if
-    None), or None where the dense rows (``sigmoid_rows``, with the same
-    bounds) are to be used: past the separable span, or where
+def _grid_sums(coef, moments, centres, x_rows, weigh) -> np.ndarray:
+    """The grid pass of ``_series_sums``, rows at ``x_rows`` (less ``lo``,
+    in units of k) by bins at ``centres``: the grid holds the powers of
+    sigmoid(-|y|) in which ``_series_coefficients`` writes c_m, the two
+    sides of y = 0 apart, so each row's sums are one product of its grid
+    rows with the moments.  It goes a chunk of rows at a time in one buffer
+    of at most ``_SIGMOID_CHUNK`` entries, and returns the weighted column
+    sums of the grid, u[q, side, b]."""
+    planes, nbins, p = coef.shape[2], moments.shape[1], x_rows.shape[0]
+    # The row sums' moments nu[q, side, b, d] = sum_m C[d, side, q, m] mu_m(b).
+    nu = np.einsum("dsqm,mb->qsbd", coef, moments).reshape(planes, 2 * nbins, 2)
+    rows = min(p, max(1, _SIGMOID_CHUNK // (2 * planes * nbins)))
+    grid = np.empty((planes, rows, 2, nbins))
+    col = np.zeros((planes, 2 * nbins))
+    for i0 in range(0, p, rows):
+        i1 = min(i0 + rows, p)
+        g = grid[:, : i1 - i0]
+        y = np.subtract(centres, x_rows[i0:i1, None])
+        g[0, :, 1] = y > 0.0
+        np.subtract(1.0, g[0, :, 1], out=g[0, :, 0])
+        np.abs(y, out=y)
+        np.negative(y, out=y)
+        np.exp(y, out=y)
+        np.divide(y, y + 1.0, out=y)  # sigmoid(-|y|)
+        np.multiply(y, g[0, :, 0], out=g[1, :, 0])
+        np.subtract(y, g[1, :, 0], out=g[1, :, 1])
+        for q in range(2, planes):
+            np.multiply(g[q - 1], g[1], out=g[q])
+        flat = g.reshape(planes, i1 - i0, 2 * nbins)
+        both = np.matmul(flat, nu).sum(axis=0)
+        col += weigh(i0, i1, both[:, 0], both[:, 1]) @ flat
+    return col.reshape(planes, 2, nbins)
+
+
+def sigmoid_series(s: np.ndarray, p: int, k: float, bounds: tuple[float, float]) -> int | None:
+    """The series' bin width exponent e (bins 2^-e * k wide) for the rows
+    ``s[:p]`` against the negatives ``s[p:]``, with ``bounds`` the (min,
+    max) of ``s``, or None where the dense rows (``sigmoid_rows``, with the
+    same bounds) are to be used: past the separable span, or where
     ``_series_pays`` says that the series costs more.  The rule is asked
     first for one bin at the lowest order, a cost below every width's,
     before the span; then for as many bins as the span holds, up to n, at
@@ -357,19 +347,19 @@ def sigmoid_series(
         return p, n, min(n, span_bins), span_bins, _SERIES_ORDERS[e]
 
     e = min(_SERIES_ORDERS, key=lambda e: _series_cost(*rule(e)))
-    if not _series_pays(*rule(e)):
-        return None
-    return SigmoidSeries(s[p:], np.sort(s[p:]) if neg_sorted is None else neg_sorted, lo, k, e)
+    return e if _series_pays(*rule(e)) else None
 
 
 def sigmoid_sums(
-    s: np.ndarray, p: int, k: float, weigh, slope: bool = False, neg_sorted=None
+    s: np.ndarray, p: int, k: float, weigh, slope: bool, neg_sorted: np.ndarray
 ) -> np.ndarray:
     """The weighted column sums of the sigmoid block of the rows ``s[:p]``
     against every column of ``s``, 0 on each row's own column, by the
-    route that ``sigmoid_series`` picks, which reads ``neg_sorted``, the
-    negatives' scores ascending where the caller's rank view holds them.
-    There is at least one row and at least one negative after the rows.
+    route that ``sigmoid_series`` picks.  ``neg_sorted`` holds the
+    negatives ``s[p:]`` ascending, the caller's rank view's sort, which
+    the series bins; a view that holds fewer of them, one pruned for a
+    bounded step, raises ``ValueError``.  There is at least one row and at
+    least one negative after the rows.
 
     For each chunk of rows in order, ``weigh(i0, i1, pos, neg)`` gets the
     rows' sums of sigmoid((s_j - s_i)/k) over the positives' columns and
@@ -383,10 +373,15 @@ def sigmoid_sums(
     the positives'.
     """
     n = s.shape[0]
+    if neg_sorted.shape[0] != n - p:
+        raise ValueError(
+            f"sigmoid_sums needs all {n - p} negatives sorted, got {neg_sorted.shape[0]}:"
+            " a rank view pruned for a bounded step holds only the kept ones"
+        )
     bounds = float(s.min()), float(s.max())
-    series = sigmoid_series(s, p, k, bounds, neg_sorted)
+    e = sigmoid_series(s, p, k, bounds)
     g = np.zeros(n)
-    if series is None:
+    if e is None:
         for i0, i1, sig, a, b in sigmoid_rows(s, p, k, bounds):
             pos, neg = sig[:, :p].sum(axis=1), sig[:, p:].sum(axis=1)
             if not slope:
@@ -419,7 +414,7 @@ def sigmoid_sums(
         v[i0:i1], w = weigh(i0, i1, pos[i0:i1], neg, pos_slope[i0:i1], neg_slope, 1.0)
         return w
 
-    series.sums(s_pos, weigh_series, slope, g[p:])
+    _series_sums(s_pos, s[p:], neg_sorted, bounds[0], k, e, weigh_series, slope, g[p:])
     if slope:
         for i0, i1, sig, a, b in sigmoid_rows(s_pos, p, k):
             sig *= sig

@@ -9,12 +9,13 @@ AUC gradient is the accelerated error-driven kernel with every rank
 denominator 1 (``losses._auc_core``), so no step builds a P x n block.
 
 The smoothed baseline is one call of ``_pairwise.sigmoid_sums`` with
-slopes: for each chunk of rows it gets the rows' sums of the sigmoid and
-of k * sigmoid' over the positives' and the negatives' columns, and
-returns the quotient rule's column weights, num_i/(p denom_i^2) over the
-positives' columns and 1/(p denom_i) minus that over the negatives'.  The
-kernel picks the dense rows or the series, so the P x n block is never
-whole in memory and its derivative is never built.
+slopes, on a rank view that holds every negative sorted: for each chunk
+of rows it gets the rows' sums of the sigmoid and of k * sigmoid' over
+the positives' and the negatives' columns, and returns the quotient
+rule's column weights, num_i/(p denom_i^2) over the positives' columns
+and 1/(p denom_i) minus that over the negatives'.  The kernel picks the
+dense rows or the series, so the P x n block is never whole in memory
+and its derivative is never built.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ class SmoothedApConfig:
             raise ValueError(f"log-space objective requires finite epsilon > 0, got {self.epsilon}")
 
 
-def _smoothed_core(
-    scores: np.ndarray, pos: np.ndarray, neg: np.ndarray, cfg: SmoothedApConfig, neg_sorted=None
-) -> tuple[float, np.ndarray]:
+def _smoothed_core(view: _pairwise.RankView, cfg: SmoothedApConfig) -> tuple[float, np.ndarray]:
+    scores, pos, neg = view.scores, view.pos, view.neg
     p = pos.shape[0]
     if p == 0 or neg.shape[0] == 0:
         return 0.0, np.zeros(scores.shape[0])
@@ -76,7 +76,7 @@ def _smoothed_core(
 
     # Only valid scores enter the block, so ignored samples change no bit
     # of the result.
-    g = _pairwise.sigmoid_sums(scores[cols], p, cfg.k, weigh, True, neg_sorted)
+    g = _pairwise.sigmoid_sums(scores[cols], p, cfg.k, weigh, True, view.neg_sorted)
     g[:p] += own
     g /= cfg.k
     value = float((num / denom).sum() / p)
@@ -98,11 +98,11 @@ def smoothed_ap_loss_and_grad(
     The hard steps of the pairwise loss are replaced by sigmoids of slope
     scale ``k`` so the objective is differentiable everywhere; the gradient
     is exact (finite-difference checkable), not error-driven.  Its sums
-    come from ``_pairwise.sigmoid_sums``, so no P x n array is allocated.
-    Ignored samples change no bit of the result.
+    come from ``_pairwise.sigmoid_sums`` on the batch's rank view, built
+    with no step, whose one sort of the negatives the series bins, so no
+    P x n array is allocated.  Ignored samples change no bit of the result.
     """
-    pos, neg = partition(batch)
-    return _smoothed_core(batch.scores, pos, neg, cfg)
+    return _smoothed_core(_pairwise.RankView(batch.scores, *partition(batch)), cfg)
 
 
 def auc_grad(

@@ -322,11 +322,11 @@ def _above_band(hi, w, m):
     return np.repeat(prefix, gaps)
 
 
-def _sigmoid_core(s_pos, s_neg, k, interpolated, denom=None, neg_sorted=None):
+def _sigmoid_core(s_pos, s_neg, neg_sorted, k, interpolated, denom=None):
     """``_sorted_band_core``'s results for the sigmoid, from the ascending
-    positives ``s_pos`` and the negatives ``s_neg`` in any order, by
-    ``_pairwise.sigmoid_sums``, with ``neg_sorted`` the negatives' scores
-    ascending where the caller holds them; ``denom`` as there."""
+    positives ``s_pos`` and the negatives ``s_neg`` in any order, with
+    ``neg_sorted`` the same negatives ascending, by
+    ``_pairwise.sigmoid_sums``; ``denom`` as there."""
     p = s_pos.shape[0]
     contrib, precs = np.empty(p), np.empty(p)
     max_prec = 0.0
@@ -357,7 +357,7 @@ def _accelerated_core(
         denom = denom[order]
     if cfg.kind == SIGMOID_KIND:
         loss, contrib, grad[neg], precs = _sigmoid_core(
-            s_pos, view.scores[neg], cfg.k, opts.interpolated, denom, view.neg_sorted
+            s_pos, view.scores[neg], view.neg_sorted, cfg.k, opts.interpolated, denom
         )
     else:
         loss, contrib, neg_grad, precs = _sorted_band_core(

@@ -75,7 +75,7 @@ def _split_counts(total: int, groups: int) -> list[int]:
 
 
 def generate(cfg: SynthConfig) -> RankingDataset:
-    """Draw a dataset; deterministic for a fixed config.
+    """Draw a dataset; deterministic for a fixed config, and empty with no samples.
 
     When ``margin >= 0`` the returned dataset carries the certifying unit
     vector as ``separator`` (and the margin), verified by scoring before
@@ -102,9 +102,12 @@ def generate(cfg: SynthConfig) -> RankingDataset:
     label_arr = np.zeros(n, dtype=np.int64)
     gid_arr = np.empty(n, dtype=np.int64)
     # The row patterns u and (margin/2) u, repeated over one block's rows
-    # (the largest group's, if smaller), so that every block update below
-    # runs over one contiguous run of the flattened rows.
-    rows = min(1 << max(2, (_BLOCK // cfg.dim).bit_length() - 1), pos_counts[0] + neg_counts[0])
+    # (the largest group's, if smaller, and at least one, with no samples),
+    # so that every block update below runs over one contiguous run of the
+    # flattened rows.
+    rows = min(
+        1 << max(2, (_BLOCK // cfg.dim).bit_length() - 1), max(pos_counts[0] + neg_counts[0], 1)
+    )
     u_rows, half_rows = np.tile(u, rows), np.tile((cfg.margin / 2.0) * u, rows)
     proj = np.empty(rows * cfg.dim)
     start = 0

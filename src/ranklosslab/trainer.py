@@ -196,13 +196,12 @@ def _error_driven_rule(view: RankView, cfg: TrainConfig):
 
 
 # The update rule of each loss kind, on a batch's rank view built for
-# ``cfg.step_cfg`` (no step for the smoothed rule, whose series reads the
-# sorted negatives): (view, cfg) -> (surrogate, score gradient, pruned).
+# ``cfg.step_cfg`` (no step for the smoothed rule, whose sigmoid sums
+# need every negative sorted): (view, cfg) -> (surrogate, score gradient,
+# pruned).
 _UPDATE_RULES = {
     "error_driven_ap": _error_driven_rule,
-    "smoothed_ap_gd": lambda v, cfg: (
-        *_smoothed_core(v.scores, v.pos, v.neg, cfg.smoothed, v.neg_sorted), 0
-    ),
+    "smoothed_ap_gd": lambda v, cfg: (*_smoothed_core(v, cfg.smoothed), 0),
     "auc": lambda v, cfg: _auc_core(v),
     "inseparable_ap": lambda v, cfg: _inseparable_grad(v),
 }
@@ -299,7 +298,8 @@ def train(
     else:
         gids = [-1]
         batches = [(slice(None), joint_pos, joint_neg)]
-    # The smoothed rule runs no band kernel, so its view needs no step.
+    # The smoothed rule runs no band kernel and needs every negative sorted,
+    # so its view has no step and prunes nothing.
     step = None if cfg.loss_kind == "smoothed_ap_gd" else cfg.step_cfg
     prune = cfg.grad_opts.prune_trivial_negatives
 

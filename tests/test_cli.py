@@ -341,6 +341,22 @@ run:
         assert "nan" not in captured.out
         assert "bench: 0 iterations, nothing to rank" in captured.out
 
+    def test_dataset_with_no_samples(self, tmp_path, capsys):
+        # A synth with no samples at all is valid and yields an empty dataset.
+        cfg = tmp_path / "bench.yaml"
+        cfg.write_text(
+            "synth: {dim: 4, positives: 0, negatives: 0}\n"
+            "train: {error_driven_ap: {max_iters: 5, step: {kind: piecewise}}}\n"
+        )
+        out_dir = tmp_path / "out"
+        rc = main(["bench", "--config", str(cfg), "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == ""
+        assert "bench: 0 iterations, nothing to rank" in captured.out
+        for table in ("bench_timeline.csv", "bench_scaling.csv"):
+            assert len((out_dir / table).read_text().splitlines()) == 1  # the header alone
+
     def test_config_settings_the_bench_would_ignore_are_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bench.yaml"
         cfg.write_text(

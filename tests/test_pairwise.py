@@ -350,7 +350,7 @@ class TestSigmoidSums:
             got[2:, i0:i1] = a * pos_slope, a * neg_slope
             return a * (pos / (1.0 + neg) + got[2, i0:i1]), a * (1.0 / (1.0 + neg + pos) + got[3, i0:i1])
 
-        return _pairwise.sigmoid_sums(s, p, k, weigh, slope), got, chunks
+        return _pairwise.sigmoid_sums(s, p, k, weigh, slope, np.sort(s[p:])), got, chunks
 
     @pytest.mark.parametrize("chunk_rows", [None, 2])
     @pytest.mark.parametrize("slope", [False, True], ids=["sigmoid", "slope"])
@@ -414,24 +414,22 @@ class TestSigmoidSums:
             pays = span <= _pairwise._SEPARABLE_SPAN and costs[e] < 0.8 * p * (p + n)
             s = np.zeros(p + n)
             s[-1] = span * k
-            series = _pairwise.sigmoid_series(s, p, k, (0.0, span * k))
-            assert (series is not None) == pays, (p, n, span)
-            assert series is None or series.e == e
+            width = _pairwise.sigmoid_series(s, p, k, (0.0, span * k))
+            assert (width is not None) == pays, (p, n, span)
+            assert width is None or width == e
             routes.append(pays)
         assert 20 < sum(routes) < len(routes) - 20
 
     def test_a_series_sums_the_same_on_every_call(self):
-        # The bins outlive each call, so the sums of a second call, and of
-        # the slope after them, hold as the first call's do.
+        # The series keeps nothing between calls, so the sums of a second
+        # call, and of the slope after them, hold as the first call's do.
         rng = np.random.default_rng(37)
         p, k = 20, 0.5
         s = rng.standard_normal(p + 5_000)
-        series = _pairwise.SigmoidSeries(
-            s[p:], np.sort(s[p:]), float(s.min()), k, min(_pairwise._SERIES_ORDERS)
-        )
+        args = s[:p], s[p:], np.sort(s[p:]), float(s.min()), k, min(_pairwise._SERIES_ORDERS)
         sig, dsig = _sigmoid_reference(s, p, k)
         for slope, ref in ((False, sig), (False, sig), (True, dsig), (False, sig)):
             out = np.empty(s.shape[0] - p)
-            series.sums(s[:p], lambda i0, i1, *_: np.ones(i1 - i0), slope, out)
+            _pairwise._series_sums(*args, lambda i0, i1, *_: np.ones(i1 - i0), slope, out)
             ref_col = ref[:, p:].sum(axis=0)
             assert np.abs(out - ref_col).max() <= 1e-12 * np.abs(ref_col).max()

@@ -424,7 +424,7 @@ def standalone_accelerated(scores, pos, neg, step, opts):
     order = np.argsort(scores[pos], kind="stable")
     if step.kind == "sigmoid":
         loss, contrib, neg_grad, _ = gradients._sigmoid_core(
-            scores[pos[order]], scores[kept], step.k, opts.interpolated
+            scores[pos[order]], scores[kept], np.sort(scores[kept]), step.k, opts.interpolated
         )
     else:
         neg_order = np.argsort(scores[kept])

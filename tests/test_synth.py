@@ -205,6 +205,12 @@ class TestStructure:
         batch = SampleBatch(data.features @ np.ones(4), data.labels)
         assert ap_loss(batch) == 0.0 and auc_loss(batch) == 0.0
 
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_no_samples_give_an_empty_dataset(self, groups):
+        data = generate(SynthConfig(dim=4, positives=0, negatives=0, groups=groups))
+        assert data.features.shape == (0, 4)
+        assert data.labels.shape == (0,) and data.groups() == []
+
     def test_one_dimensional_features(self):
         cfg = SynthConfig(dim=1, positives=3, negatives=5, margin=0.2, noise_sigma=1.0, seed=3)
         data = generate(cfg)

@@ -612,10 +612,13 @@ class TestUpdateRules:
             smoothed = SmoothedApConfig(k=0.25 + 0.25 * (b % 3), log_space=b % 2 == 1)
             cfg = TrainConfig(step_cfg=step, grad_opts=opts, smoothed=smoothed)
 
+            # Each rule reads a view built for its own step, as ``train``
+            # builds it: the smoothed rule's has no step.
             view = RankView(batch.scores, pos, neg, step, opts.prune_trivial_negatives)
 
             def rule(kind):
-                return _UPDATE_RULES[kind](view, cfg)
+                v = RankView(batch.scores, pos, neg) if kind == "smoothed_ap_gd" else view
+                return _UPDATE_RULES[kind](v, cfg)
 
             res = grad_accelerated(batch, step, opts)
             surrogate, grad, pruned = rule("error_driven_ap")
@@ -631,6 +634,40 @@ class TestUpdateRules:
             surrogate, grad, pruned = rule("auc")
             assert (surrogate, pruned) == (value, view.below if pos.size and neg.size else 0)
             np.testing.assert_array_equal(grad, expected)
+
+    @pytest.mark.parametrize(
+        "negatives, series", [(20_000, True), (500, False)], ids=["series", "dense"]
+    )
+    def test_the_smoothed_rule_is_the_public_call_bitwise(self, negatives, series):
+        # The trainer's smoothed rule and ``smoothed_ap_loss_and_grad`` are
+        # one path, with the same bits on either route of the sigmoid sums,
+        # ignored samples among the scores.
+        rng = np.random.default_rng(11)
+        labels = np.repeat([1, 0, -1], [50, negatives, 30])
+        rng.shuffle(labels)
+        scores = rng.standard_normal(labels.shape[0]) + (labels == 1)
+        batch = SampleBatch(scores, labels)
+        for smoothed in (SmoothedApConfig(), SmoothedApConfig(k=0.25, log_space=True)):
+            cfg = TrainConfig(loss_kind="smoothed_ap_gd", smoothed=smoothed)
+            with sigmoid_series_path() as taken:
+                value, expected = smoothed_ap_loss_and_grad(batch, smoothed)
+                view = RankView(scores, *partition(batch))
+                surrogate, grad, pruned = _UPDATE_RULES["smoothed_ap_gd"](view, cfg)
+            assert taken == [series, series]
+            assert (surrogate, pruned) == (value, 0)
+            np.testing.assert_array_equal(grad, expected)
+
+    def test_the_smoothed_rule_refuses_a_view_pruned_for_a_bounded_step(self):
+        # A view built for the ramp sorts only the negatives it keeps, and
+        # the sigmoid sums need them all: the rule raises rather than bin
+        # the kept ones alone.
+        rng = np.random.default_rng(12)
+        labels = np.repeat([1, 0], [50, 20_000])
+        scores = rng.standard_normal(labels.shape[0]) + (labels == 1)
+        view = RankView(scores, *partition(SampleBatch(scores, labels)), StepConfig.piecewise(0.5))
+        assert view.below > 0
+        with pytest.raises(ValueError, match="needs all 20000 negatives sorted"):
+            _UPDATE_RULES["smoothed_ap_gd"](view, TrainConfig(loss_kind="smoothed_ap_gd"))
 
     @pytest.mark.parametrize("scope", ["joint", "per_group"])
     @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
